@@ -14,7 +14,6 @@ from .metrics import accuracy, gini, max_vio, routed_token_ratio
 from .moe import MoeLayer, RoutingBatch
 from .potentials import (
     PotentialSpec,
-    aux_weight,
     conjugate_value,
     default_catalog,
     inverse_link,
@@ -52,7 +51,6 @@ __all__ = [
     "MoeLayer",
     "RoutingBatch",
     "PotentialSpec",
-    "aux_weight",
     "conjugate_value",
     "default_catalog",
     "inverse_link",

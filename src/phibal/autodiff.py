@@ -28,15 +28,8 @@ __all__ = [
     "stop_gradient",
     "matmul",
     "transpose",
-    "exp",
-    "log",
-    "tanh",
-    "sigmoid",
-    "silu",
     "softmax_rows",
     "index_select",
-    "concat",
-    "backward",
     "gradients",
 ]
 
@@ -354,26 +347,6 @@ def transpose(a: Node) -> Node:
     return Node(a.value.T, (a,), (lambda g: g.T,), op="transpose")
 
 
-def exp(a: Node) -> Node:
-    return a.exp()
-
-
-def log(a: Node) -> Node:
-    return a.log()
-
-
-def tanh(a: Node) -> Node:
-    return a.tanh()
-
-
-def sigmoid(a: Node) -> Node:
-    return a.sigmoid()
-
-
-def silu(a: Node) -> Node:
-    return a.silu()
-
-
 def softmax_rows(a: Node) -> Node:
     """Row-wise softmax of a matrix, stabilized by row-max subtraction."""
     if a.ndim != 2:
@@ -404,35 +377,6 @@ def index_select(a: Node, indices, axis: int = 0) -> Node:
         return full
 
     return Node(out, (a,), (vjp,), op="index_select")
-
-
-def concat(nodes: Iterable[Node], axis: int = 0) -> Node:
-    parts = list(nodes)
-    if not parts:
-        raise ShapeError("concat: need at least one node")
-    out = np.concatenate([p.value for p in parts], axis=axis)
-    offsets = np.cumsum([0] + [p.value.shape[axis] for p in parts])
-
-    def make_vjp(i):
-        lo, hi = offsets[i], offsets[i + 1]
-
-        def vjp(g):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(lo, hi)
-            return g[tuple(sl)]
-
-        return vjp
-
-    return Node(
-        out,
-        tuple(parts),
-        tuple(make_vjp(i) for i in range(len(parts))),
-        op="concat",
-    )
-
-
-def backward(root: Node) -> None:
-    root.backward()
 
 
 def gradients(root: Node, leaves: Iterable[Node]) -> dict[Node, np.ndarray]:

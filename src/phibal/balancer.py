@@ -10,17 +10,21 @@ that layer's routing statistics and turns it into an auxiliary loss:
 * ``loss_free`` no loss at all; a per-expert logit bias steers top-k
                 selection and is nudged each step toward uniform utilization.
 * ``none``      no balancing (the EMA is still tracked for reporting).
+
+The state holds only what training changes: the EMA ``m`` and, for
+``loss_free``, the bias. Hyperparameters come from the run's
+``BalanceConfig``; the loss coefficient alpha is applied by `total_loss`.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import potentials
 from .autodiff import Node, constant
-from .potentials import PotentialSpec, aux_weight
+from .potentials import PotentialSpec
 
 __all__ = [
     "MECHANISMS",
@@ -36,22 +40,19 @@ STATISTICS = ("probability", "frequency")
 # EMA entries start at zero, where entropic gradients are undefined; the
 # training path clamps them to this floor before computing prices.
 _EMA_FLOOR = 1e-12
-_ENTROPIC = {"neg_shannon", "tsallis", "renyi"}
 
 
 @dataclass
 class BalancerState:
     """Per-layer dual tracker and mechanism configuration.
 
-    ``alpha`` is the loss coefficient (0 disables the penalty but keeps the
-    EMA running), ``eta`` the EMA step size in (0, 1]. ``statistic`` selects
-    what feeds the EMA: mean pre-top-k probabilities or realized per-token
-    selection frequencies.
+    ``eta`` is the EMA step size in (0, 1]. ``statistic`` selects what feeds
+    the EMA: mean pre-top-k probabilities or realized per-token selection
+    frequencies.
     """
 
     n_experts: int
     eta: float = 0.7
-    alpha: float = 0.01
     mechanism: str = "phi"
     potential: PotentialSpec | None = None
     statistic: str = "probability"
@@ -62,8 +63,6 @@ class BalancerState:
     def __post_init__(self) -> None:
         if not 0.0 < self.eta <= 1.0:
             raise ValueError(f"eta must lie in (0, 1], got {self.eta}")
-        if self.alpha < 0.0:
-            raise ValueError(f"alpha must be nonnegative, got {self.alpha}")
         if self.mechanism not in MECHANISMS:
             raise ValueError(f"unknown mechanism {self.mechanism!r}")
         if self.statistic not in STATISTICS:
@@ -93,9 +92,11 @@ class BalancerState:
     def price_vector(self) -> np.ndarray:
         """Potential gradient at the current EMA, floored for entropic domains."""
         m = self.m
-        if self.potential.family in _ENTROPIC:
+        if self.potential.family in potentials._ENTROPIC:
             m = np.maximum(m, _EMA_FLOOR)
-        return aux_weight(self.potential, m)
+        # Looked up on the module at call time, so instrumentation that
+        # wraps potentials.link also sees training's price computations.
+        return potentials.link(self.potential, m)
 
     def phi_aux_loss(self, p_bar: Node) -> Node:
         """<p, w> with w = grad-potential(m) excluded from gradient flow.
@@ -127,51 +128,6 @@ class BalancerState:
         f = np.asarray(f, dtype=np.float64)
         self.bias += self.bias_step * np.sign(1.0 / self.n_experts - f)
         return self.bias
-
-    # -- serialization -----------------------------------------------------------
-
-    def to_snapshot(self) -> dict:
-        snap: dict = {
-            "m": self.m.tolist(),
-            "eta": self.eta,
-            "alpha": self.alpha,
-            "statistic": self.statistic,
-            "mechanism": (
-                f"phi:{self.potential.token()}" if self.mechanism == "phi" else self.mechanism
-            ),
-        }
-        if self.bias is not None:
-            snap["b"] = self.bias.tolist()
-            snap["u"] = self.bias_step
-        return snap
-
-    @classmethod
-    def from_snapshot(cls, snap: dict) -> BalancerState:
-        mechanism = snap["mechanism"]
-        potential = None
-        if mechanism.startswith("phi:"):
-            potential = PotentialSpec.parse(mechanism[len("phi:"):])
-            mechanism = "phi"
-        state = cls(
-            n_experts=len(snap["m"]),
-            eta=snap["eta"],
-            alpha=snap["alpha"],
-            mechanism=mechanism,
-            potential=potential,
-            statistic=snap["statistic"],
-            bias_step=snap.get("u", 1e-3),
-        )
-        state.m = np.asarray(snap["m"], dtype=np.float64)
-        if "b" in snap:
-            state.bias = np.asarray(snap["b"], dtype=np.float64)
-        return state
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_snapshot())
-
-    @classmethod
-    def from_json(cls, text: str) -> BalancerState:
-        return cls.from_snapshot(json.loads(text))
 
 
 def stmoe_aux_loss(f: np.ndarray, p_bar: Node) -> Node:

@@ -13,13 +13,12 @@ Setting PHIBAL_DETERMINISTIC=1 forces single-job sweep execution.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
 from .checks import run_all_checks
-from .config import ConfigError, parse_config
-from .experiments import DETERMINISTIC_ENV, ExperimentPlan, config_digest, run_plan, write_run_csv
+from .config import ConfigError, parse_config, with_seed
+from .experiments import ExperimentPlan, config_digest, run_plan, write_run_csv
 from .training import NumericalError, TrainConfig, compute_token_budget, train
 
 EXIT_OK = 0
@@ -61,8 +60,6 @@ def _cmd_run(args) -> int:
     if not isinstance(cfg, TrainConfig):
         raise ConfigError("`run` needs a run config, not a sweep plan (use `sweep`)")
     if args.seed is not None:
-        from .config import with_seed
-
         cfg = with_seed(cfg, args.seed)
     record = train(cfg)
     print(
@@ -85,8 +82,7 @@ def _cmd_sweep(args) -> int:
     plan = parse_config(args.config)
     if not isinstance(plan, ExperimentPlan):
         raise ConfigError("`sweep` needs a sweep plan with a `sweep:` section")
-    jobs = 1 if os.environ.get(DETERMINISTIC_ENV) == "1" else args.jobs
-    outcomes = run_plan(plan, args.out, jobs=jobs)
+    outcomes = run_plan(plan, args.out, jobs=args.jobs)
     failed = [oc for oc in outcomes if oc.error is not None]
     for oc in outcomes:
         status = "ok" if oc.error is None else f"ERROR {oc.error}"

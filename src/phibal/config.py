@@ -7,13 +7,13 @@ can be regenerated from a parsed one byte-for-byte stable.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from collections.abc import Container
+from dataclasses import fields, replace
 from pathlib import Path
 
 import yaml
 
 from .corpus import CorpusSpec
-from .potentials import PotentialSpec
 from .training import (
     BalanceConfig,
     ModelConfig,
@@ -34,33 +34,47 @@ class ConfigError(ValueError):
     """Malformed config file or out-of-range value."""
 
 
-_SECTIONS = {
-    "model": ("layers", "experts", "top_k", "dim", "ffn_dim"),
-    "balance": ("mechanism", "phi", "eta", "alpha", "statistic", "bias_step"),
-    "optimizer": (
-        "kind",
-        "lr",
-        "beta1",
-        "beta2",
-        "eps",
-        "weight_decay",
-        "warmup_steps",
-        "cosine",
-    ),
-    "corpus": ("domains", "mixture", "cluster_scale", "label_rule", "seed", "centers"),
-    "train": ("batch_tokens", "steps", "eval_every", "eval_tokens", "seed", "load_window"),
+_NESTED = {
+    "model": ModelConfig,
+    "balance": BalanceConfig,
+    "optimizer": OptimizerConfig,
+    "corpus": CorpusSpec,
 }
+# Where the file format departs from the dataclass fields. Corpus ``dim``
+# comes from the model and ``mixture_schedule`` is never serialized;
+# `config_to_dict` writes corpus ``centers`` only when it is set.
+_RENAMED = {"n_domains": "domains"}
+_SKIPPED = {"corpus": {"dim", "mixture_schedule"}, "train": set(_NESTED)}
 
+# Section -> {file key: dataclass field}.
+_SECTIONS = {
+    section: {
+        _RENAMED.get(f.name, f.name): f.name
+        for f in fields(cls)
+        if f.name not in _SKIPPED.get(section, ())
+    }
+    for section, cls in {**_NESTED, "train": TrainConfig}.items()
+}
 _SWEEP_KEYS = ("axis", "values", "seeds")
-_AXES = ("phi", "eta", "batch", "mechanism", "statistic")
 
 
-def _check_keys(section: str, data: dict, allowed: tuple[str, ...]) -> None:
+def _check_keys(section: str, data: dict, allowed: Container[str]) -> None:
     if not isinstance(data, dict):
         raise ConfigError(f"section {section!r} must be a mapping, got {type(data).__name__}")
     for key in data:
         if key not in allowed:
             raise ConfigError(f"unknown key {key!r} in section {section!r}")
+
+
+def _from_yaml(value):
+    """YAML lists (corpus mixture and centers) become tuples of floats."""
+    if isinstance(value, list):
+        return tuple(_from_yaml(v) if isinstance(v, list) else float(v) for v in value)
+    return value
+
+
+def _to_yaml(value):
+    return [_to_yaml(v) for v in value] if isinstance(value, tuple) else value
 
 
 def config_from_dict(raw: dict) -> TrainConfig:
@@ -69,88 +83,34 @@ def config_from_dict(raw: dict) -> TrainConfig:
     for section in raw:
         if section not in _SECTIONS:
             raise ConfigError(f"unknown section {section!r}")
-    for section, allowed in _SECTIONS.items():
-        _check_keys(section, raw.get(section, {}), allowed)
+    for section, keys in _SECTIONS.items():
+        _check_keys(section, raw.get(section, {}), keys)
 
     try:
-        model_raw = dict(raw.get("model", {}))
-        model = ModelConfig(**model_raw)
-
-        balance_raw = dict(raw.get("balance", {}))
-        if "phi" in balance_raw and balance_raw["phi"] is not None:
-            # Validate the token eagerly so a bad potential fails at parse time.
-            PotentialSpec.parse(balance_raw["phi"])
-        balance = BalanceConfig(**balance_raw)
-
-        optimizer = OptimizerConfig(**dict(raw.get("optimizer", {})))
-
-        corpus_raw = dict(raw.get("corpus", {}))
-        if "domains" in corpus_raw:
-            corpus_raw["n_domains"] = corpus_raw.pop("domains")
-        if "mixture" in corpus_raw and corpus_raw["mixture"] is not None:
-            corpus_raw["mixture"] = tuple(float(w) for w in corpus_raw["mixture"])
-        if "centers" in corpus_raw and corpus_raw["centers"] is not None:
-            corpus_raw["centers"] = tuple(
-                tuple(float(v) for v in row) for row in corpus_raw["centers"]
-            )
-        corpus = CorpusSpec(dim=model.dim, **corpus_raw)
-
-        train_raw = dict(raw.get("train", {}))
+        kwargs = {
+            section: {keys[key]: _from_yaml(v) for key, v in raw.get(section, {}).items()}
+            for section, keys in _SECTIONS.items()
+        }
+        model = ModelConfig(**kwargs["model"])
         return TrainConfig(
-            model=model, balance=balance, optimizer=optimizer, corpus=corpus, **train_raw
+            model=model,
+            balance=BalanceConfig(**kwargs["balance"]),
+            optimizer=OptimizerConfig(**kwargs["optimizer"]),
+            corpus=CorpusSpec(dim=model.dim, **kwargs["corpus"]),
+            **kwargs["train"],
         )
-    except ConfigError:
-        raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def config_to_dict(cfg: TrainConfig) -> dict:
-    """Inverse of config_from_dict (drops derived fields like corpus dim)."""
-    out = {
-        "model": {
-            "layers": cfg.model.layers,
-            "experts": cfg.model.experts,
-            "top_k": cfg.model.top_k,
-            "dim": cfg.model.dim,
-            "ffn_dim": cfg.model.ffn_dim,
-        },
-        "balance": {
-            "mechanism": cfg.balance.mechanism,
-            "phi": cfg.balance.phi,
-            "eta": cfg.balance.eta,
-            "alpha": cfg.balance.alpha,
-            "statistic": cfg.balance.statistic,
-            "bias_step": cfg.balance.bias_step,
-        },
-        "optimizer": {
-            "kind": cfg.optimizer.kind,
-            "lr": cfg.optimizer.lr,
-            "beta1": cfg.optimizer.beta1,
-            "beta2": cfg.optimizer.beta2,
-            "eps": cfg.optimizer.eps,
-            "weight_decay": cfg.optimizer.weight_decay,
-            "warmup_steps": cfg.optimizer.warmup_steps,
-            "cosine": cfg.optimizer.cosine,
-        },
-        "corpus": {
-            "domains": cfg.corpus.n_domains,
-            "mixture": list(cfg.corpus.mixture),
-            "cluster_scale": cfg.corpus.cluster_scale,
-            "label_rule": cfg.corpus.label_rule,
-            "seed": cfg.corpus.seed,
-        },
-        "train": {
-            "batch_tokens": cfg.batch_tokens,
-            "steps": cfg.steps,
-            "eval_every": cfg.eval_every,
-            "eval_tokens": cfg.eval_tokens,
-            "seed": cfg.seed,
-            "load_window": cfg.load_window,
-        },
-    }
-    if cfg.corpus.centers is not None:
-        out["corpus"]["centers"] = [list(row) for row in cfg.corpus.centers]
+    """Inverse of config_from_dict."""
+    out = {}
+    for section, keys in _SECTIONS.items():
+        source = cfg if section == "train" else getattr(cfg, section)
+        out[section] = {key: _to_yaml(getattr(source, name)) for key, name in keys.items()}
+    if cfg.corpus.centers is None:
+        del out["corpus"]["centers"]
     return out
 
 
@@ -161,21 +121,11 @@ def plan_from_dict(raw: dict):
     raw = dict(raw)
     sweep = raw.pop("sweep")
     _check_keys("sweep", sweep, _SWEEP_KEYS)
-    axis = sweep.get("axis")
-    if axis not in _AXES:
-        raise ConfigError(f"sweep axis must be one of {_AXES}, got {axis!r}")
-    values = sweep.get("values")
-    if not values:
-        raise ConfigError("sweep values must be a non-empty list")
-    seeds = sweep.get("seeds", [0])
-    if not seeds:
-        raise ConfigError("sweep seeds must be a non-empty list")
-    base = config_from_dict(raw)
     return ExperimentPlan(
-        base=base,
-        axis=axis,
-        values=tuple(values),
-        seeds=tuple(int(s) for s in seeds),
+        base=config_from_dict(raw),
+        axis=sweep.get("axis"),
+        values=tuple(sweep.get("values") or ()),
+        seeds=tuple(int(s) for s in sweep.get("seeds", [0]) or ()),
     )
 
 

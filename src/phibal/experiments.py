@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import os
 import traceback
@@ -20,7 +21,6 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, config_to_dict, with_seed
-from .potentials import PotentialSpec
 from .training import NumericalError, RunRecord, TrainConfig, train
 
 __all__ = [
@@ -53,6 +53,18 @@ CSV_SCHEMA = (
 DETERMINISTIC_ENV = "PHIBAL_DETERMINISTIC"
 
 
+# Sweep axis -> the base config with one value applied.
+_AXES = {
+    "phi": lambda cfg, v: replace(
+        cfg, balance=replace(cfg.balance, mechanism="phi", phi=str(v))
+    ),
+    "eta": lambda cfg, v: replace(cfg, balance=replace(cfg.balance, eta=float(v))),
+    "batch": lambda cfg, v: replace(cfg, batch_tokens=int(v)),
+    "mechanism": lambda cfg, v: replace(cfg, balance=replace(cfg.balance, mechanism=str(v))),
+    "statistic": lambda cfg, v: replace(cfg, balance=replace(cfg.balance, statistic=str(v))),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentPlan:
     base: TrainConfig
@@ -61,6 +73,8 @@ class ExperimentPlan:
     seeds: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if self.axis not in _AXES:
+            raise ConfigError(f"sweep axis must be one of {tuple(_AXES)}, got {self.axis!r}")
         if not self.values:
             raise ConfigError("sweep values must be non-empty")
         if not self.seeds:
@@ -75,31 +89,18 @@ class RunOutcome:
     error: str | None = None
 
 
-def _apply_axis(base: TrainConfig, axis: str, value) -> tuple[str, TrainConfig]:
-    bal = base.balance
-    if axis == "phi":
-        token = str(value)
-        PotentialSpec.parse(token)
-        return token, replace(base, balance=replace(bal, mechanism="phi", phi=token))
-    if axis == "eta":
-        return str(value), replace(base, balance=replace(bal, eta=float(value)))
-    if axis == "batch":
-        return str(value), replace(base, batch_tokens=int(value))
-    if axis == "mechanism":
-        return str(value), replace(base, balance=replace(bal, mechanism=str(value)))
-    if axis == "statistic":
-        return str(value), replace(base, balance=replace(bal, statistic=str(value)))
-    raise ConfigError(f"unknown sweep axis {axis!r}")
+def _combinations(plan: ExperimentPlan) -> list[tuple[object, int]]:
+    """Every (value, seed) pair, in plan order."""
+    return list(itertools.product(plan.values, plan.seeds))
+
+
+def _apply_axis(plan: ExperimentPlan, value, seed: int) -> TrainConfig:
+    return with_seed(_AXES[plan.axis](plan.base, value), seed)
 
 
 def expand_plan(plan: ExperimentPlan) -> list[tuple[str, int, TrainConfig]]:
     """All (label, seed, config) combinations, in plan order."""
-    out = []
-    for value in plan.values:
-        for seed in plan.seeds:
-            label, cfg = _apply_axis(plan.base, plan.axis, value)
-            out.append((label, seed, with_seed(cfg, seed)))
-    return out
+    return [(str(v), seed, _apply_axis(plan, v, seed)) for v, seed in _combinations(plan)]
 
 
 def config_digest(cfg: TrainConfig) -> str:
@@ -111,27 +112,36 @@ def config_digest(cfg: TrainConfig) -> str:
 
 
 def write_run_csv(path, cfg: TrainConfig, record: RunRecord) -> None:
+    """Write a run's rows to a temp file beside ``path``, then rename it into
+    place, so ``path`` is either absent or complete."""
+    path = Path(path)
     phi_token = cfg.balance.phi if cfg.balance.mechanism == "phi" else ""
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# phibal csv schema v{CSV_SCHEMA_VERSION}\n")
-        writer = csv.writer(fh)
-        writer.writerow(CSV_SCHEMA)
-        for row in record.rows:
-            writer.writerow(
-                [
-                    row.step,
-                    row.layer,
-                    repr(row.task_loss),
-                    repr(row.accuracy),
-                    repr(row.max_vio),
-                    repr(row.gini),
-                    cfg.balance.mechanism,
-                    phi_token,
-                    repr(cfg.balance.eta),
-                    cfg.batch_tokens,
-                    cfg.seed,
-                ]
-            )
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="") as fh:
+            fh.write(f"# phibal csv schema v{CSV_SCHEMA_VERSION}\n")
+            writer = csv.writer(fh)
+            writer.writerow(CSV_SCHEMA)
+            for row in record.rows:
+                writer.writerow(
+                    [
+                        row.step,
+                        row.layer,
+                        repr(row.task_loss),
+                        repr(row.accuracy),
+                        repr(row.max_vio),
+                        repr(row.gini),
+                        cfg.balance.mechanism,
+                        phi_token,
+                        repr(cfg.balance.eta),
+                        cfg.batch_tokens,
+                        cfg.seed,
+                    ]
+                )
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_run_csv(path) -> list[dict]:
@@ -165,10 +175,12 @@ def read_run_csv(path) -> list[dict]:
 # -- plan execution -----------------------------------------------------------------
 
 
-def _run_one(job: tuple[str, int, TrainConfig, str]) -> RunOutcome:
-    label, seed, cfg, out_dir = job
-    path = Path(out_dir) / f"run_{config_digest(cfg)}.csv"
-    try:
+def _run_one(job: tuple[ExperimentPlan, object, int, str]) -> RunOutcome:
+    plan, value, seed, out_dir = job
+    label = str(value)
+    try:  # a bad value fails here and becomes an error row like a failed run
+        cfg = _apply_axis(plan, value, seed)
+        path = Path(out_dir) / f"run_{config_digest(cfg)}.csv"
         record = train(cfg)
         write_run_csv(path, cfg, record)
         return RunOutcome(label=label, seed=seed, csv_path=str(path))
@@ -199,32 +211,12 @@ def run_plan(plan: ExperimentPlan, out_dir, jobs: int = 1) -> list[RunOutcome]:
     if os.environ.get(DETERMINISTIC_ENV) == "1":
         jobs = 1
 
-    outcomes: list[RunOutcome | None] = []
-    pending: list[tuple[int, tuple[str, int, TrainConfig, str]]] = []
-    for value in plan.values:
-        for seed in plan.seeds:
-            try:
-                label, cfg = _apply_axis(plan.base, plan.axis, value)
-                cfg = with_seed(cfg, seed)
-            except Exception as exc:
-                detail = "".join(
-                    traceback.format_exception_only(type(exc), exc)
-                ).strip()
-                outcomes.append(
-                    RunOutcome(label=str(value), seed=seed, csv_path=None, error=detail)
-                )
-                continue
-            pending.append((len(outcomes), (label, seed, cfg, str(out))))
-            outcomes.append(None)
-
-    job_inputs = [job for _, job in pending]
+    job_inputs = [(plan, value, seed, str(out)) for value, seed in _combinations(plan)]
     if jobs > 1 and len(job_inputs) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_one, job_inputs))
+            outcomes = list(pool.map(_run_one, job_inputs))
     else:
-        results = [_run_one(job) for job in job_inputs]
-    for (index, _), outcome in zip(pending, results):
-        outcomes[index] = outcome
+        outcomes = [_run_one(job) for job in job_inputs]
 
     summary = summarize_runs(plan.axis, outcomes)
     (out / "summary.md").write_text(summary)

@@ -8,9 +8,6 @@ minimizer is the uniform distribution. Each family exposes four maps:
     conjugate_value(spec, q) the convex conjugate sup_m <m,q> - value(m)
     inverse_link(spec, q)   the conjugate's gradient, inverting link
 
-``aux_weight`` aliases ``link``: the per-expert weight each family assigns
-inside the balancing loss is exactly the price vector.
-
 Conjugates with no closed form (Tsallis and Renyi entropies) are evaluated
 numerically: coordinatewise bisection for the separable Tsallis family, and
 projected gradient ascent for the coordinate-coupled Renyi family.
@@ -32,20 +29,22 @@ __all__ = [
     "link",
     "conjugate_value",
     "inverse_link",
-    "aux_weight",
 ]
 
-FAMILIES = (
-    "euclidean",
-    "lp",
-    "soft_l1",
-    "neg_shannon",
-    "tsallis",
-    "renyi",
-    "pseudo_huber",
-    "log_cosh",
-    "softplus",
-)
+# Family -> the parameters its spec takes, in token order.
+_PARAMS = {
+    "euclidean": (),
+    "lp": ("p",),
+    "soft_l1": ("delta",),
+    "neg_shannon": (),
+    "tsallis": ("alpha",),
+    "renyi": ("alpha",),
+    "pseudo_huber": ("delta",),
+    "log_cosh": ("beta",),
+    "softplus": (),
+}
+FAMILIES = tuple(_PARAMS)
+_PARAM_NAMES = tuple(dict.fromkeys(name for names in _PARAMS.values() for name in names))
 
 _ENTROPIC = {"neg_shannon", "tsallis", "renyi"}
 
@@ -84,27 +83,8 @@ class PotentialSpec:
         fam = self.family
         if fam not in FAMILIES:
             raise ValueError(f"unknown potential family: {fam!r}")
-        given = {
-            name
-            for name, val in (
-                ("p", self.p),
-                ("alpha", self.alpha),
-                ("delta", self.delta),
-                ("beta", self.beta),
-            )
-            if val is not None
-        }
-        needed = {
-            "euclidean": set(),
-            "lp": {"p"},
-            "soft_l1": {"delta"},
-            "neg_shannon": set(),
-            "tsallis": {"alpha"},
-            "renyi": {"alpha"},
-            "pseudo_huber": {"delta"},
-            "log_cosh": {"beta"},
-            "softplus": set(),
-        }[fam]
+        given = {name for name in _PARAM_NAMES if getattr(self, name) is not None}
+        needed = set(_PARAMS[fam])
         if given != needed:
             raise ValueError(
                 f"potential {fam!r} takes parameters {sorted(needed)}, got {sorted(given)}"
@@ -125,20 +105,8 @@ class PotentialSpec:
     # -- token grammar: "neg_shannon", "lp:p=3", "tsallis:alpha=1.1", ... ----
 
     def token(self) -> str:
-        if self.family == "lp":
-            p = "inf" if math.isinf(self.p) else _fmt(self.p)
-            return f"lp:p={p}"
-        if self.family == "soft_l1":
-            return f"soft_l1:delta={_fmt(self.delta)}"
-        if self.family == "tsallis":
-            return f"tsallis:alpha={_fmt(self.alpha)}"
-        if self.family == "renyi":
-            return f"renyi:alpha={_fmt(self.alpha)}"
-        if self.family == "pseudo_huber":
-            return f"pseudo_huber:delta={_fmt(self.delta)}"
-        if self.family == "log_cosh":
-            return f"log_cosh:beta={_fmt(self.beta)}"
-        return self.family
+        params = ",".join(f"{name}={_fmt(getattr(self, name))}" for name in _PARAMS[self.family])
+        return f"{self.family}:{params}" if params else self.family
 
     @classmethod
     def parse(cls, token: str) -> PotentialSpec:
@@ -151,7 +119,7 @@ class PotentialSpec:
                 if not eq:
                     raise ValueError(f"bad potential token {token!r}: expected key=value")
                 key = key.strip()
-                if key not in ("p", "alpha", "delta", "beta"):
+                if key not in _PARAM_NAMES:
                     raise ValueError(f"bad potential token {token!r}: unknown parameter {key!r}")
                 val = val.strip()
                 kwargs[key] = math.inf if val == "inf" else float(val)
@@ -159,6 +127,8 @@ class PotentialSpec:
 
 
 def _fmt(x: float) -> str:
+    if math.isinf(x):  # every parameter range excludes -inf
+        return "inf"
     return repr(x) if x != int(x) else str(int(x))
 
 
@@ -312,11 +282,6 @@ def link(spec: PotentialSpec, m) -> np.ndarray:
     if fam == "softplus":
         return _sigmoid(m)
     raise AssertionError(fam)
-
-
-def aux_weight(spec: PotentialSpec, m) -> np.ndarray:
-    """Per-expert weight used in the balancing loss; identical to link()."""
-    return link(spec, m)
 
 
 # -- convex conjugate -------------------------------------------------------------

@@ -4,7 +4,8 @@ Each step samples a batch, runs the residual expert stack, updates every
 layer's usage EMA, adds the mechanism's auxiliary losses scaled by
 alpha * E, backpropagates, and applies the optimizer. Runs are fully
 deterministic under a fixed config and can be snapshotted and resumed
-bit-exactly.
+bit-exactly. A snapshot holds state only; the config passed to
+`Trainer.restore` supplies every hyperparameter.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .autodiff import Node, constant, matmul
+from .autodiff import Node, constant, matmul, parameter
 from .balancer import BalancerState, total_loss
 from .corpus import CorpusSpec, sample_batch
 from .metrics import gini, max_vio
@@ -39,11 +40,12 @@ __all__ = [
     "TokenBudget",
 ]
 
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 
 class NumericalError(RuntimeError):
-    """Training hit a non-finite loss; carries the step and a state snapshot."""
+    """Training hit a non-finite loss at ``step``; ``snapshot`` is the state
+    after step - 1, from which `Trainer.restore` replays the failing step."""
 
     def __init__(self, step: int, snapshot: dict) -> None:
         super().__init__(f"non-finite loss at step {step}")
@@ -78,6 +80,11 @@ class BalanceConfig:
     statistic: str = "probability"
     bias_step: float = 1e-3
 
+    def __post_init__(self) -> None:
+        if self.alpha < 0.0:
+            raise ValueError(f"alpha must be nonnegative, got {self.alpha}")
+        self.potential()  # a bad token fails here, whatever the mechanism
+
     def potential(self) -> PotentialSpec | None:
         return PotentialSpec.parse(self.phi) if self.phi else None
 
@@ -85,7 +92,6 @@ class BalanceConfig:
         return BalancerState(
             n_experts=n_experts,
             eta=self.eta,
-            alpha=self.alpha,
             mechanism=self.mechanism,
             potential=self.potential() if self.mechanism == "phi" else None,
             statistic=self.statistic,
@@ -192,6 +198,8 @@ class Optimizer:
         return snap
 
     def restore(self, snap: dict) -> None:
+        if ("m" in snap) != (self.cfg.kind == "adamw"):
+            raise ValueError(f"snapshot optimizer state does not fit a {self.cfg.kind} optimizer")
         self.t = snap["t"]
         if self.cfg.kind == "adamw":
             self.m = [np.asarray(a) for a in snap["m"]]
@@ -214,11 +222,7 @@ class MoeStack:
             MoeLayer(model.experts, model.top_k, model.dim, model.ffn_dim, rng)
             for _ in range(model.layers)
         ]
-        self.head = Node(
-            rng.normal(0.0, model.dim**-0.5, size=(n_outputs, model.dim)),
-            requires_grad=True,
-            op="param",
-        )
+        self.head = parameter(rng.normal(0.0, model.dim**-0.5, size=(n_outputs, model.dim)))
         self.n_outputs = n_outputs
 
     def parameters(self) -> list[Node]:
@@ -339,6 +343,8 @@ class Trainer:
         else:
             task = squared_error(logits, labels)
 
+        # ema_update rebinds m, so these references keep the pre-step EMAs.
+        previous_m = [balancer.m for balancer in self.balancers]
         aux_losses = []
         for balancer, routing in zip(self.balancers, routings):
             stat = balancer.pick_statistic(routing.p_bar.value, routing.f_per_token)
@@ -346,12 +352,16 @@ class Trainer:
             aux = balancer.aux_loss(routing.p_bar, routing.f)
             if aux is not None:
                 aux_losses.append(aux)
-            if balancer.mechanism == "loss_free":
-                balancer.loss_free_step(routing.f)
         loss = total_loss(task, aux_losses, cfg.balance.alpha, cfg.model.experts)
 
         if not np.isfinite(loss.value):
-            raise NumericalError(t, self.snapshot())
+            for balancer, m in zip(self.balancers, previous_m):
+                balancer.m = m
+            raise NumericalError(t, {**self.snapshot(), "step": t - 1})
+
+        for balancer, routing in zip(self.balancers, routings):
+            if balancer.mechanism == "loss_free":
+                balancer.loss_free_step(routing.f)
 
         for p in self.params:
             p.grad = None
@@ -411,7 +421,10 @@ class Trainer:
             "step": self.step_index,
             "params": [p.value.tolist() for p in self.params],
             "optimizer": self.optimizer.to_snapshot(),
-            "balancers": [b.to_snapshot() for b in self.balancers],
+            "balancers": [
+                {"m": b.m.tolist(), "b": None if b.bias is None else b.bias.tolist()}
+                for b in self.balancers
+            ],
             "window": [
                 [counts.tolist() for counts in layer_window]
                 for layer_window in self._window
@@ -421,14 +434,23 @@ class Trainer:
 
     @classmethod
     def restore(cls, config: TrainConfig, snap: dict) -> Trainer:
+        """Rebuild a trainer for ``config`` and load a snapshot's state into it.
+
+        Raises ValueError naming the first mismatch with what the config
+        builds: parameter or balancer count, an array shape, or optimizer kind.
+        """
         if snap.get("version") != SNAPSHOT_VERSION:
             raise ValueError(f"unsupported snapshot version {snap.get('version')!r}")
         trainer = cls(config)
+        _check_count("parameters", snap["params"], trainer.params)
+        _check_count("balancers", snap["balancers"], trainer.balancers)
         trainer.step_index = snap["step"]
-        for p, stored in zip(trainer.params, snap["params"]):
-            p.value = np.asarray(stored, dtype=np.float64)
+        for i, (p, stored) in enumerate(zip(trainer.params, snap["params"])):
+            p.value = _load_array(f"parameter {i}", stored, p.value)
         trainer.optimizer.restore(snap["optimizer"])
-        trainer.balancers = [BalancerState.from_snapshot(b) for b in snap["balancers"]]
+        for i, (balancer, stored) in enumerate(zip(trainer.balancers, snap["balancers"])):
+            balancer.m = _load_array(f"balancer {i} m", stored["m"], balancer.m)
+            balancer.bias = _load_array(f"balancer {i} b", stored["b"], balancer.bias)
         trainer._window = [
             [np.asarray(counts, dtype=np.int64) for counts in layer_window]
             for layer_window in snap["window"]
@@ -444,6 +466,21 @@ class Trainer:
     def load_snapshot(cls, config: TrainConfig, path) -> Trainer:
         with open(path) as fh:
             return cls.restore(config, json.load(fh))
+
+
+def _check_count(what: str, stored: list, built: list) -> None:
+    if len(stored) != len(built):
+        raise ValueError(f"snapshot has {len(stored)} {what}, the config builds {len(built)}")
+
+
+def _load_array(what: str, stored, built: np.ndarray | None) -> np.ndarray | None:
+    """A snapshot array, checked against the shape the config gives it."""
+    value = None if stored is None else np.asarray(stored, dtype=np.float64)
+    shape = None if value is None else value.shape
+    expected = None if built is None else built.shape
+    if shape != expected:
+        raise ValueError(f"snapshot {what} has shape {shape}, the config builds {expected}")
+    return value
 
 
 def train(config: TrainConfig) -> RunRecord:

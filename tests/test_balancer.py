@@ -6,7 +6,8 @@ import pytest
 from phibal.autodiff import constant, parameter, softmax_rows
 from phibal.balancer import BalancerState, stmoe_aux_loss, total_loss
 from phibal.checks import MIRROR_TOL, check_mirror_step, mirror_step_numeric
-from phibal.potentials import PotentialSpec, aux_weight, default_catalog, link
+from phibal.potentials import PotentialSpec, default_catalog, link
+from phibal.training import BalanceConfig
 
 
 def make_state(**kwargs) -> BalancerState:
@@ -64,7 +65,7 @@ def test_eta_and_alpha_ranges_enforced():
     with pytest.raises(ValueError):
         make_state(eta=1.5)
     with pytest.raises(ValueError):
-        make_state(alpha=-0.1)
+        BalanceConfig(alpha=-0.1)
 
 
 # -- price-weighted loss -------------------------------------------------------------
@@ -121,7 +122,7 @@ def test_price_direction_overloaded_experts_cost_more(spec):
         m = rng.dirichlet(np.ones(5))
         m = np.clip(m, 1e-3, None)
         m /= m.sum()
-        w = aux_weight(spec, m)
+        w = link(spec, m)
         order = np.argsort(m)
         for a, b in zip(order[1:], order[:-1]):
             if m[a] > m[b]:
@@ -239,29 +240,3 @@ def test_mirror_step_matches_closed_form_ema():
 def test_mirror_step_suite_passes():
     result = check_mirror_step()
     assert result.passed, result.detail
-
-
-# -- serialization -------------------------------------------------------------------------
-
-
-def test_snapshot_round_trip_phi():
-    state = make_state(n_experts=3, eta=0.4, alpha=0.02,
-                       potential=PotentialSpec("tsallis", alpha=1.1))
-    state.ema_update(np.array([0.2, 0.3, 0.5]))
-    snap = state.to_snapshot()
-    assert snap["mechanism"] == "phi:tsallis:alpha=1.1"
-    restored = BalancerState.from_json(state.to_json())
-    np.testing.assert_array_equal(restored.m, state.m)
-    assert restored.potential == state.potential
-    assert restored.eta == state.eta
-
-
-def test_snapshot_round_trip_loss_free():
-    state = make_state(n_experts=3, mechanism="loss_free", potential=None,
-                       bias_step=0.005)
-    state.loss_free_step(np.array([0.5, 0.3, 0.2]))
-    snap = state.to_snapshot()
-    assert "b" in snap and snap["u"] == 0.005
-    restored = BalancerState.from_snapshot(snap)
-    np.testing.assert_array_equal(restored.bias, state.bias)
-    assert restored.bias_step == 0.005

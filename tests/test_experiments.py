@@ -1,3 +1,4 @@
+import csv
 import textwrap
 
 import pytest
@@ -21,6 +22,7 @@ from phibal.experiments import (
     summarize_runs,
     write_run_csv,
 )
+from phibal.corpus import CorpusSpec
 from phibal.training import TrainConfig, train
 
 TINY = textwrap.dedent(
@@ -169,6 +171,30 @@ def test_csv_round_trip(tmp_path):
     assert columns == CSV_SCHEMA
 
 
+def test_csv_write_failure_leaves_no_file(tmp_path, monkeypatch):
+    cfg = with_seed(parse_config(write_tiny_config(tmp_path)), 0)
+    record = train(cfg)
+    real_writer = csv.writer
+
+    class FailsOnThirdRow:
+        def __init__(self, fh):
+            self.fh, self.inner, self.rows = fh, real_writer(fh), 0
+
+        def writerow(self, row):
+            self.rows += 1
+            if self.rows == 3:
+                self.fh.write("10,0,")  # half a row, then the disk fills
+                raise OSError("no space left on device")
+            self.inner.writerow(row)
+
+    monkeypatch.setattr(csv, "writer", FailsOnThirdRow)
+    out = tmp_path / "csv"
+    out.mkdir()
+    with pytest.raises(OSError, match="no space"):
+        write_run_csv(out / "run.csv", cfg, record)
+    assert list(out.iterdir()) == []
+
+
 def test_run_plan_writes_csvs_and_summary(tmp_path):
     plan = parse_config(write_tiny_plan(tmp_path))
     out = tmp_path / "out"
@@ -222,6 +248,14 @@ def test_config_digest_distinguishes_configs(tmp_path):
     cfg = parse_config(write_tiny_config(tmp_path))
     assert config_digest(cfg) != config_digest(with_seed(cfg, 1))
     assert config_digest(cfg) == config_digest(parse_config(write_tiny_config(tmp_path)))
+
+
+def test_config_digest_pins():
+    # Every sweep CSV is named by this digest; a change renames them all.
+    assert config_digest(TrainConfig()) == "94e756671298"
+    centers = ((0.0,) * 16, (1.0,) * 16)
+    cfg = TrainConfig(corpus=CorpusSpec(n_domains=2, dim=16, centers=centers))
+    assert config_digest(cfg) == "50cd16f33954"
 
 
 def test_eta_sweep_completes_across_band(tmp_path):

@@ -6,7 +6,6 @@ import pytest
 from phibal.potentials import (
     DomainError,
     PotentialSpec,
-    aux_weight,
     conjugate_value,
     default_catalog,
     inverse_link,
@@ -123,18 +122,19 @@ def test_inverse_link_pins():
 
 
 def test_aux_weight_pins():
+    # The balancing loss weighs each expert by its price, link(m).
     np.testing.assert_allclose(
-        aux_weight(PotentialSpec("soft_l1", delta=0.1), [0.2]), [0.2 / 0.3]
+        link(PotentialSpec("soft_l1", delta=0.1), [0.2]), [0.2 / 0.3]
     )
     np.testing.assert_allclose(
-        aux_weight(PotentialSpec("pseudo_huber", delta=1.0), [0.0]), [0.0]
+        link(PotentialSpec("pseudo_huber", delta=1.0), [0.0]), [0.0]
     )
 
 
 def test_renyi_aux_weight_formula():
     spec = PotentialSpec("renyi", alpha=0.95)
     m = np.array([0.5, 0.5])
-    w = aux_weight(spec, m)
+    w = link(spec, m)
     assert w[0] == pytest.approx(w[1])
     a = 0.95
     expected = (a * m ** (a - 1.0)) / ((a - 1.0) * np.sum(m**a))

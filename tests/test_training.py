@@ -214,9 +214,26 @@ def test_nan_loss_aborts_with_step_and_snapshot():
     assert err.value.step > 0
     assert "params" in err.value.snapshot
 
+    # The snapshot is the consistent state after the last good step.
+    snap = json.loads(json.dumps(err.value.snapshot))
+    assert snap["step"] == err.value.step - 1
+    fresh = Trainer(cfg)
+    with np.errstate(all="ignore"):
+        for _ in range(err.value.step - 1):
+            fresh.step()
+    for stored, bal in zip(snap["balancers"], fresh.balancers):
+        assert np.asarray(stored["m"]).tobytes() == bal.m.tobytes()
+    resumed = Trainer.restore(cfg, snap)
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericalError) as again:
+            resumed.step()
+    assert again.value.step == err.value.step
 
-def test_snapshot_resume_is_bit_exact():
-    cfg = with_seed(TrainConfig(steps=120, eval_every=20), 5)
+
+@pytest.mark.parametrize("mechanism", ["phi", "loss_free"])
+def test_snapshot_resume_is_bit_exact(mechanism):
+    balance = BalanceConfig(mechanism=mechanism)
+    cfg = with_seed(TrainConfig(steps=120, eval_every=20, balance=balance), 5)
     full = Trainer(cfg)
     full.run()
 
@@ -229,6 +246,27 @@ def test_snapshot_resume_is_bit_exact():
     assert resumed.record.digest() == full.record.digest()
     for a, b in zip(resumed.params, full.params):
         assert a.value.tobytes() == b.value.tobytes()
+    for a, b in zip(resumed.balancers, full.balancers):
+        assert a.m.tobytes() == b.m.tobytes()
+        assert (a.bias is None) == (b.bias is None) == (mechanism != "loss_free")
+        if a.bias is not None:
+            assert a.bias.tobytes() == b.bias.tobytes()
+
+
+def test_restore_rejects_snapshot_of_another_config():
+    two_layers = with_seed(short_config(), 1)
+    one_layer = with_seed(short_config(model=ModelConfig(layers=1)), 1)
+    snap = Trainer(two_layers).snapshot()
+    with pytest.raises(ValueError, match="parameters"):
+        Trainer.restore(one_layer, snap)
+
+    loss_free = with_seed(short_config(balance=BalanceConfig(mechanism="loss_free")), 1)
+    with pytest.raises(ValueError, match="balancer 0 b"):
+        Trainer.restore(loss_free, snap)
+
+    sgd = with_seed(short_config(optimizer=OptimizerConfig(kind="sgd")), 1)
+    with pytest.raises(ValueError, match="sgd optimizer"):
+        Trainer.restore(sgd, snap)
 
 
 def test_snapshot_rejects_unknown_version():
