@@ -228,17 +228,13 @@ def check_mirror_step(n_trials: int = 20, seed: int = 0) -> CheckResult:
 
 def _routing_margins(stack: MoeStack, x: np.ndarray) -> float:
     """Smallest probability gap around the top-k cut, over layers and tokens."""
-    from .autodiff import constant
-
-    h = constant(x)
+    _, routings = stack.forward(x, [None] * len(stack.layers))
     worst = np.inf
-    for layer in stack.layers:
-        routing = layer.route(h)
+    for routing in routings:
         ordered = np.sort(routing.probs.value, axis=1)[:, ::-1]
-        k = layer.top_k
-        if k < layer.n_experts:
+        k = routing.top_k
+        if k < ordered.shape[1]:
             worst = min(worst, float(np.min(ordered[:, k - 1] - ordered[:, k])))
-        h = h + layer.forward(h, routing)
     return worst
 
 

@@ -45,6 +45,7 @@ _NESTED = {
 # `config_to_dict` writes corpus ``centers`` only when it is set.
 _RENAMED = {"n_domains": "domains"}
 _SKIPPED = {"corpus": {"dim", "mixture_schedule"}, "train": set(_NESTED)}
+_CLASSES = {**_NESTED, "train": TrainConfig}
 
 # Section -> {file key: dataclass field}.
 _SECTIONS = {
@@ -53,7 +54,12 @@ _SECTIONS = {
         for f in fields(cls)
         if f.name not in _SKIPPED.get(section, ())
     }
-    for section, cls in {**_NESTED, "train": TrainConfig}.items()
+    for section, cls in _CLASSES.items()
+}
+# Section -> the fields annotated ``float``.
+_FLOATS = {
+    section: {f.name for f in fields(cls) if f.type in ("float", float)}
+    for section, cls in _CLASSES.items()
 }
 _SWEEP_KEYS = ("axis", "values", "seeds")
 
@@ -73,6 +79,14 @@ def _from_yaml(value):
     return value
 
 
+def _as_field(section: str, name: str, value):
+    """An int in a float field becomes a float, so ``eta: 1`` and ``eta: 1.0``
+    parse, serialize and digest as one config."""
+    if name in _FLOATS[section] and isinstance(value, int) and not isinstance(value, bool):
+        return float(value)
+    return value
+
+
 def _to_yaml(value):
     return [_to_yaml(v) for v in value] if isinstance(value, tuple) else value
 
@@ -88,7 +102,10 @@ def config_from_dict(raw: dict) -> TrainConfig:
 
     try:
         kwargs = {
-            section: {keys[key]: _from_yaml(v) for key, v in raw.get(section, {}).items()}
+            section: {
+                keys[key]: _as_field(section, keys[key], _from_yaml(v))
+                for key, v in raw.get(section, {}).items()
+            }
             for section, keys in _SECTIONS.items()
         }
         model = ModelConfig(**kwargs["model"])
@@ -108,7 +125,10 @@ def config_to_dict(cfg: TrainConfig) -> dict:
     out = {}
     for section, keys in _SECTIONS.items():
         source = cfg if section == "train" else getattr(cfg, section)
-        out[section] = {key: _to_yaml(getattr(source, name)) for key, name in keys.items()}
+        out[section] = {
+            key: _to_yaml(_as_field(section, name, getattr(source, name)))
+            for key, name in keys.items()
+        }
     if cfg.corpus.centers is None:
         del out["corpus"]["centers"]
     return out

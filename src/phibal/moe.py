@@ -4,6 +4,11 @@ A layer is a linear router over E experts plus E independent gated
 feed-forward experts. Each token activates its top-k experts; their outputs
 are combined with weights renormalized over the selected set. Non-selected
 experts are never evaluated.
+
+`MoeLayer.forward` runs all of a layer's experts as one graph node with a
+hand-written backward pass, dispatching tokens by a single sort as grouped-GEMM
+MoE kernels do. `MoeLayer.expert_forward` builds the same expert from autodiff
+primitives; it is the reference the tests hold the fused node to.
 """
 
 from __future__ import annotations
@@ -138,24 +143,72 @@ class MoeLayer:
         return matmul(gate.silu() * value, self.w2[e].T)
 
     def forward(self, x: Node, routing: RoutingBatch) -> Node:
-        """Router-weighted sum of selected experts; skips empty experts."""
-        n_tokens = x.shape[0]
-        out: Node | None = None
-        for e in range(self.n_experts):
-            rows = np.flatnonzero((routing.selections == e).any(axis=1))
-            if rows.size == 0:
-                continue
-            tokens = index_select(x, rows, axis=0)
-            expert_out = self.expert_forward(e, tokens)
-            w = index_select(
-                index_select(routing.weights, rows, axis=0), [e], axis=1
-            )
-            # Scatter rows back to (T, dim) by multiplying with a constant
-            # one-hot placement matrix; its transpose is the gather, so the
-            # backward rule falls out of matmul.
-            placement = np.zeros((n_tokens, rows.size))
-            placement[rows, np.arange(rows.size)] = 1.0
-            contribution = matmul(constant(placement), w * expert_out)
-            out = contribution if out is None else out + contribution
-        assert out is not None
-        return out
+        """Router-weighted sum of the selected experts, as one graph node.
+
+        The (token, expert) pairs are sorted once by expert, so each active
+        expert's rows form one token-ascending slab. Each slab runs through
+        its expert in plain numpy and is scattered back in ascending expert
+        order, which reproduces `expert_forward` row for row and sums in the
+        same order as a dense masked combination. Parents are x, the routing
+        weights and the active experts' w1/w2 only, so experts with no
+        tokens receive no gradient; one hand-written backward pass, run once
+        however many parents ask for it, serves every parent.
+        """
+        ffn = self.ffn_dim
+        order = np.argsort(routing.selections.ravel(), kind="stable")
+        tokens = order // self.top_k
+        ends = np.cumsum(routing.counts)
+        active = np.flatnonzero(routing.counts)
+        xv, wv = x.value, routing.weights.value
+        out = np.zeros_like(xv)
+        saved = []  # per active expert, what its backward reads
+        for e in active:
+            rows = tokens[ends[e] - routing.counts[e] : ends[e]]
+            # Contiguous transposes: BLAS rounds a transposed view differently,
+            # and these bits must match `expert_forward`.
+            w1t = np.ascontiguousarray(self.w1[e].value.T)
+            w2t = np.ascontiguousarray(self.w2[e].value.T)
+            u = xv[rows]
+            h = u @ w1t
+            a, b = h[:, :ffn], h[:, ffn:]
+            s = 0.5 * (1.0 + np.tanh(0.5 * a))
+            silu = a * s
+            act = silu * b
+            y = act @ w2t
+            out[rows] += wv[rows, e, None] * y
+            saved.append((e, rows, w1t, w2t, u, a, b, s, silu, act, y))
+
+        parents = (
+            x,
+            routing.weights,
+            *(self.w1[e] for e in active),
+            *(self.w2[e] for e in active),
+        )
+        need_dx = x.requires_grad
+        cache: dict = {}
+
+        def backward(g: np.ndarray) -> tuple:
+            """Every parent's gradient, in parent order, from one pass."""
+            if cache.get("g") is not g:
+                # The matmuls mirror the VJPs of `expert_forward`'s graph, so the
+                # weight gradients keep its bits.
+                dx = np.zeros_like(xv) if need_dx else None
+                dw = np.zeros_like(wv)
+                d_w1, d_w2 = [], []
+                for e, rows, w1t, w2t, u, a, b, s, silu, act, y in saved:
+                    gr = g[rows]
+                    dw[rows, e] = (gr * y).sum(axis=1)
+                    dy = gr * wv[rows, e, None]
+                    d_w2.append((act.T @ dy).T)
+                    d_act = dy @ w2t.T
+                    dh = np.empty((rows.size, 2 * ffn))
+                    dh[:, :ffn] = d_act * b * (s * (1.0 + a * (1.0 - s)))
+                    dh[:, ffn:] = d_act * silu
+                    d_w1.append((u.T @ dh).T)
+                    if need_dx:
+                        dx[rows] += dh @ w1t.T
+                cache.update(g=g, grads=(dx, dw, *d_w1, *d_w2))
+            return cache["grads"]
+
+        vjps = tuple(lambda g, i=i: backward(g)[i] for i in range(len(parents)))
+        return Node(out, parents, vjps, op="moe_experts")

@@ -357,7 +357,8 @@ class Trainer:
         if not np.isfinite(loss.value):
             for balancer, m in zip(self.balancers, previous_m):
                 balancer.m = m
-            raise NumericalError(t, {**self.snapshot(), "step": t - 1})
+            self.step_index = t - 1
+            raise NumericalError(t, self.snapshot())
 
         for balancer, routing in zip(self.balancers, routings):
             if balancer.mechanism == "loss_free":

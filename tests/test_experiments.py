@@ -23,7 +23,7 @@ from phibal.experiments import (
     write_run_csv,
 )
 from phibal.corpus import CorpusSpec
-from phibal.training import TrainConfig, train
+from phibal.training import BalanceConfig, TrainConfig, train
 
 TINY = textwrap.dedent(
     """
@@ -256,6 +256,17 @@ def test_config_digest_pins():
     centers = ((0.0,) * 16, (1.0,) * 16)
     cfg = TrainConfig(corpus=CorpusSpec(n_domains=2, dim=16, centers=centers))
     assert config_digest(cfg) == "50cd16f33954"
+
+
+def test_int_in_float_field_is_the_same_config():
+    as_int = TrainConfig(balance=BalanceConfig(eta=1))
+    as_float = TrainConfig(balance=BalanceConfig(eta=1.0))
+    assert config_digest(as_int) == config_digest(as_float)
+    raw = config_to_dict(as_float)
+    raw["balance"]["eta"] = 1
+    parsed = config_from_dict(raw)
+    assert type(parsed.balance.eta) is float
+    assert config_digest(parsed) == config_digest(as_float)
 
 
 def test_eta_sweep_completes_across_band(tmp_path):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from phibal.autodiff import constant
+from phibal.autodiff import constant, index_select, parameter
 from phibal.checks import finite_diff_gradient, gradient_max_rel_error
 from phibal.moe import MoeLayer
 
@@ -205,3 +205,71 @@ def test_unselected_experts_receive_no_gradient():
     for e in (1, 2, 3):
         assert layer.w1[e].grad is None
         assert layer.w2[e].grad is None
+
+
+# -- the fused expert node ---------------------------------------------------------------
+
+
+def fused_and_reference_grads(layer, x_arr):
+    """Gradients of sum(y**2) through `forward` and through the composed
+    dense sum of `expert_forward`, over x, the router and every expert."""
+    results = []
+    for fused in (True, False):
+        x = parameter(x_arr.copy())
+        params = [x, *layer.parameters()]
+        for p in layer.parameters():
+            p.grad = None
+        routing = layer.route(x)
+        if fused:
+            y = layer.forward(x, routing)
+        else:
+            y = None
+            for e in range(layer.n_experts):
+                term = index_select(routing.weights, [e], axis=1) * layer.expert_forward(e, x)
+                y = term if y is None else y + term
+        (y * y).sum().backward()
+        results.append([np.zeros(p.shape) if p.grad is None else p.grad for p in params])
+    return results
+
+
+def test_fused_forward_gradient_matches_finite_differences():
+    layer = make_layer(n_experts=4, top_k=2, dim=3, ffn_dim=4, seed=17)
+    x_arr = np.random.default_rng(18).standard_normal((7, 3))
+    x = parameter(x_arr)
+    ordered = np.sort(layer.route(x).probs.value, axis=1)
+    assert np.min(ordered[:, -2] - ordered[:, -3]) > 1e-3  # no selection flips
+    params = [x, layer.w_router, *layer.w1, *layer.w2]
+
+    def loss():
+        y = layer.forward(x, layer.route(x))
+        return (y * y).sum()
+
+    root = loss()
+    for p in params:
+        p.grad = None
+    root.backward()
+    analytic = [np.zeros(p.shape) if p.grad is None else p.grad for p in params]
+    numeric = finite_diff_gradient(loss, params)
+    assert gradient_max_rel_error(analytic, numeric) < 1e-6
+
+
+@pytest.mark.parametrize("n_experts,top_k", [(4, 2), (6, 1), (8, 3)])
+def test_fused_gradients_match_composed_reference(n_experts, top_k):
+    layer = make_layer(n_experts=n_experts, top_k=top_k, dim=5, ffn_dim=6, seed=19)
+    x_arr = np.random.default_rng(20).standard_normal((11, 5))
+    fused, reference = fused_and_reference_grads(layer, x_arr)
+    for a, b in zip(fused, reference):
+        scale = max(1.0, float(np.max(np.abs(b))))
+        assert float(np.max(np.abs(a - b))) <= 1e-10 * scale
+
+
+def test_forward_node_count_does_not_grow_with_experts():
+    added = []
+    for n_experts in (2, 8, 32):
+        layer = make_layer(n_experts=n_experts, top_k=2, dim=4, ffn_dim=4, seed=21)
+        x = constant(np.random.default_rng(22).standard_normal((40, 4)))
+        routing = layer.route(x)
+        before = constant(0.0).uid
+        layer.forward(x, routing)
+        added.append(constant(0.0).uid - before)
+    assert added == [added[0]] * 3

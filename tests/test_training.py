@@ -230,6 +230,20 @@ def test_nan_loss_aborts_with_step_and_snapshot():
     assert again.value.step == err.value.step
 
 
+def test_live_trainer_retries_the_failing_step():
+    cfg = with_seed(
+        short_config(optimizer=OptimizerConfig(kind="sgd", lr=1e9, warmup_steps=0)), 7
+    )
+    trainer = Trainer(cfg)
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericalError) as err:
+            trainer.run()
+        assert trainer.step_index == err.value.step - 1
+        with pytest.raises(NumericalError) as again:
+            trainer.step()
+    assert again.value.step == err.value.step
+
+
 @pytest.mark.parametrize("mechanism", ["phi", "loss_free"])
 def test_snapshot_resume_is_bit_exact(mechanism):
     balance = BalanceConfig(mechanism=mechanism)
