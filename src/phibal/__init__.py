@@ -8,7 +8,7 @@ deterministic trainer plus sweep CLI.
 """
 
 from .autodiff import Node, constant, parameter, stop_gradient
-from .balancer import BalancerState, stmoe_aux_loss, total_loss
+from .balancer import BalanceConfig, BalancerState, stmoe_aux_loss, total_loss
 from .corpus import CorpusSpec, drift_mixture, sample_batch
 from .metrics import accuracy, gini, max_vio, routed_token_ratio
 from .moe import MoeLayer, RoutingBatch
@@ -21,7 +21,6 @@ from .potentials import (
     value,
 )
 from .training import (
-    BalanceConfig,
     ModelConfig,
     OptimizerConfig,
     RunRecord,
@@ -38,6 +37,7 @@ __all__ = [
     "constant",
     "parameter",
     "stop_gradient",
+    "BalanceConfig",
     "BalancerState",
     "stmoe_aux_loss",
     "total_loss",
@@ -56,7 +56,6 @@ __all__ = [
     "inverse_link",
     "link",
     "value",
-    "BalanceConfig",
     "ModelConfig",
     "OptimizerConfig",
     "RunRecord",

@@ -188,16 +188,6 @@ class Node:
     def __neg__(self) -> Node:
         return self.scale(-1.0)
 
-    def __pow__(self, exponent: float) -> Node:
-        c = float(exponent)
-        out = self.value**c
-        return Node(
-            out,
-            (self,),
-            (lambda g, x=self.value: g * c * x ** (c - 1.0),),
-            op="pow",
-        )
-
     def __matmul__(self, other) -> Node:
         return matmul(self, _wrap(other))
 
@@ -214,15 +204,6 @@ class Node:
     def log(self) -> Node:
         out = np.log(self.value)
         return Node(out, (self,), (lambda g, x=self.value: g / x,), op="log")
-
-    def tanh(self) -> Node:
-        out = np.tanh(self.value)
-        return Node(out, (self,), (lambda g, y=out: g * (1.0 - y * y),), op="tanh")
-
-    def sigmoid(self) -> Node:
-        # tanh form is stable for large |x| in both directions.
-        out = 0.5 * (1.0 + np.tanh(0.5 * self.value))
-        return Node(out, (self,), (lambda g, y=out: g * y * (1.0 - y),), op="sigmoid")
 
     def silu(self) -> Node:
         s = 0.5 * (1.0 + np.tanh(0.5 * self.value))

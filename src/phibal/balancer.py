@@ -1,7 +1,8 @@
-"""Online balancing state and the competing load-balancing mechanisms.
+"""Balancing knobs, per-layer online state, and the competing mechanisms.
 
-One `BalancerState` per sparse layer tracks an exponential moving average of
-that layer's routing statistics and turns it into an auxiliary loss:
+`BalanceConfig` holds and checks every balancing knob. One `BalancerState`
+per sparse layer tracks an exponential moving average of that layer's
+routing statistics and turns it into an auxiliary loss:
 
 * ``phi``       price-based balancing: the loss is <p, w> where w is the
                 potential gradient at the updated EMA, held out of the
@@ -12,8 +13,8 @@ that layer's routing statistics and turns it into an auxiliary loss:
 * ``none``      no balancing (the EMA is still tracked for reporting).
 
 The state holds only what training changes: the EMA ``m`` and, for
-``loss_free``, the bias. Hyperparameters come from the run's
-``BalanceConfig``; the loss coefficient alpha is applied by `total_loss`.
+``loss_free``, the bias. Its methods read the knobs from its config; the
+loss coefficient alpha is applied by `total_loss`.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .potentials import PotentialSpec
 __all__ = [
     "MECHANISMS",
     "STATISTICS",
+    "BalanceConfig",
     "BalancerState",
     "stmoe_aux_loss",
     "total_loss",
@@ -42,35 +44,57 @@ STATISTICS = ("probability", "frequency")
 _EMA_FLOOR = 1e-12
 
 
-@dataclass
-class BalancerState:
-    """Per-layer dual tracker and mechanism configuration.
+@dataclass(frozen=True)
+class BalanceConfig:
+    """A run's balancing knobs, shared by every sparse layer.
 
-    ``eta`` is the EMA step size in (0, 1]. ``statistic`` selects what feeds
-    the EMA: mean pre-top-k probabilities or realized per-token selection
-    frequencies.
+    ``phi`` is a potential token, required by the ``phi`` mechanism. ``eta``
+    is the EMA step size in (0, 1]. ``alpha`` weights the auxiliary losses.
+    ``statistic`` selects what feeds the EMA: mean pre-top-k probabilities
+    or realized per-token selection frequencies. ``bias_step`` is the
+    ``loss_free`` bias increment.
     """
 
-    n_experts: int
-    eta: float = 0.7
     mechanism: str = "phi"
-    potential: PotentialSpec | None = None
+    phi: str | None = "neg_shannon"
+    eta: float = 0.7
+    alpha: float = 0.01
     statistic: str = "probability"
     bias_step: float = 1e-3
-    m: np.ndarray = field(init=False)
-    bias: np.ndarray | None = field(init=False, default=None)
 
     def __post_init__(self) -> None:
+        if self.alpha < 0.0:
+            raise ValueError(f"alpha must be nonnegative, got {self.alpha}")
+        self.potential()  # a bad token fails here, whatever the mechanism
         if not 0.0 < self.eta <= 1.0:
             raise ValueError(f"eta must lie in (0, 1], got {self.eta}")
         if self.mechanism not in MECHANISMS:
             raise ValueError(f"unknown mechanism {self.mechanism!r}")
         if self.statistic not in STATISTICS:
             raise ValueError(f"unknown statistic {self.statistic!r}")
-        if self.mechanism == "phi" and self.potential is None:
+        if self.mechanism == "phi" and not self.phi:
             raise ValueError("phi mechanism needs a potential spec")
+
+    def potential(self) -> PotentialSpec | None:
+        return PotentialSpec.parse(self.phi) if self.phi else None
+
+
+@dataclass
+class BalancerState:
+    """One layer's EMA (and loss-free bias) under a `BalanceConfig`; ``spec``
+    is the config's potential, parsed once (``phi`` mechanism only)."""
+
+    config: BalanceConfig
+    n_experts: int
+    m: np.ndarray = field(init=False)
+    bias: np.ndarray | None = field(init=False, default=None)
+    spec: PotentialSpec | None = field(init=False, default=None)
+
+    def __post_init__(self) -> None:
         self.m = np.zeros(self.n_experts)
-        if self.mechanism == "loss_free":
+        if self.config.mechanism == "phi":
+            self.spec = self.config.potential()
+        if self.config.mechanism == "loss_free":
             self.bias = np.zeros(self.n_experts)
 
     # -- EMA ------------------------------------------------------------------
@@ -82,21 +106,22 @@ class BalancerState:
             raise ValueError(
                 f"statistic shape {stat.shape} does not match {self.n_experts} experts"
             )
-        self.m = (1.0 - self.eta) * self.m + self.eta * stat
+        eta = self.config.eta
+        self.m = (1.0 - eta) * self.m + eta * stat
 
     def pick_statistic(self, p_bar: np.ndarray, f_per_token: np.ndarray) -> np.ndarray:
-        return p_bar if self.statistic == "probability" else f_per_token
+        return p_bar if self.config.statistic == "probability" else f_per_token
 
     # -- auxiliary losses ------------------------------------------------------
 
     def price_vector(self) -> np.ndarray:
         """Potential gradient at the current EMA, floored for entropic domains."""
         m = self.m
-        if self.potential.family in potentials._ENTROPIC:
+        if self.spec.family in potentials._ENTROPIC:
             m = np.maximum(m, _EMA_FLOOR)
         # Looked up on the module at call time, so instrumentation that
         # wraps potentials.link also sees training's price computations.
-        return potentials.link(self.potential, m)
+        return potentials.link(self.spec, m)
 
     def phi_aux_loss(self, p_bar: Node) -> Node:
         """<p, w> with w = grad-potential(m) excluded from gradient flow.
@@ -108,9 +133,9 @@ class BalancerState:
 
     def aux_loss(self, p_bar: Node, f: np.ndarray) -> Node | None:
         """The mechanism's auxiliary loss for one batch, or None if it has none."""
-        if self.mechanism == "phi":
+        if self.config.mechanism == "phi":
             return self.phi_aux_loss(p_bar)
-        if self.mechanism == "st_moe":
+        if self.config.mechanism == "st_moe":
             return stmoe_aux_loss(f, p_bar)
         return None
 
@@ -123,10 +148,10 @@ class BalancerState:
         The bias only steers top-k selection, never the routing weights, and
         never receives gradients.
         """
-        if self.mechanism != "loss_free":
+        if self.config.mechanism != "loss_free":
             raise ValueError("bias updates only apply to the loss_free mechanism")
         f = np.asarray(f, dtype=np.float64)
-        self.bias += self.bias_step * np.sign(1.0 / self.n_experts - f)
+        self.bias += self.config.bias_step * np.sign(1.0 / self.n_experts - f)
         return self.bias
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .autodiff import Node
-from .balancer import BalancerState, stmoe_aux_loss, total_loss
+from .balancer import BalanceConfig, BalancerState, stmoe_aux_loss, total_loss
 from .potentials import (
     PotentialSpec,
     conjugate_value,
@@ -290,7 +290,7 @@ def check_gradients(tol: float = GRAD_TOL, instances: int = 5, seed: int = 0) ->
         for spec in default_catalog():
             balancers = []
             for _ in range(n_layers):
-                bal = BalancerState(n_experts, mechanism="phi", potential=spec)
+                bal = BalancerState(BalanceConfig(phi=spec.token()), n_experts)
                 bal.m = _interior_simplex(rng, n_experts)
                 balancers.append(bal)
 
@@ -308,8 +308,7 @@ def check_gradients(tol: float = GRAD_TOL, instances: int = 5, seed: int = 0) ->
         # with the EMA advanced once and then held fixed (the production
         # gradient treats prices as constants).
         balancers = [
-            BalancerState(n_experts, mechanism="phi", potential=PotentialSpec("neg_shannon"))
-            for _ in range(n_layers)
+            BalancerState(BalanceConfig(phi="neg_shannon"), n_experts) for _ in range(n_layers)
         ]
         _, routings = forward()
         for bal, routing in zip(balancers, routings):

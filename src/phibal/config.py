@@ -141,6 +141,9 @@ def plan_from_dict(raw: dict):
     raw = dict(raw)
     sweep = raw.pop("sweep")
     _check_keys("sweep", sweep, _SWEEP_KEYS)
+    for key in ("values", "seeds"):
+        if not isinstance(sweep.get(key, []), (list, type(None))):
+            raise ConfigError(f"sweep {key!r} must be a list, got {type(sweep[key]).__name__}")
     return ExperimentPlan(
         base=config_from_dict(raw),
         axis=sweep.get("axis"),

@@ -19,11 +19,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .autodiff import Node, constant, matmul, parameter
-from .balancer import BalancerState, total_loss
+from .balancer import BalanceConfig, BalancerState, total_loss
 from .corpus import CorpusSpec, sample_batch
-from .metrics import gini, max_vio
+from .metrics import accuracy, gini, max_vio
 from .moe import MoeLayer, RoutingBatch
-from .potentials import PotentialSpec
 
 __all__ = [
     "ModelConfig",
@@ -72,34 +71,6 @@ class ModelConfig:
 
 
 @dataclass(frozen=True)
-class BalanceConfig:
-    mechanism: str = "phi"
-    phi: str | None = "neg_shannon"
-    eta: float = 0.7
-    alpha: float = 0.01
-    statistic: str = "probability"
-    bias_step: float = 1e-3
-
-    def __post_init__(self) -> None:
-        if self.alpha < 0.0:
-            raise ValueError(f"alpha must be nonnegative, got {self.alpha}")
-        self.potential()  # a bad token fails here, whatever the mechanism
-
-    def potential(self) -> PotentialSpec | None:
-        return PotentialSpec.parse(self.phi) if self.phi else None
-
-    def build_state(self, n_experts: int) -> BalancerState:
-        return BalancerState(
-            n_experts=n_experts,
-            eta=self.eta,
-            mechanism=self.mechanism,
-            potential=self.potential() if self.mechanism == "phi" else None,
-            statistic=self.statistic,
-            bias_step=self.bias_step,
-        )
-
-
-@dataclass(frozen=True)
 class OptimizerConfig:
     kind: str = "adamw"
     lr: float = 3e-3
@@ -115,6 +86,9 @@ class OptimizerConfig:
             raise ValueError(f"unknown optimizer {self.kind!r}")
         if self.lr <= 0.0:
             raise ValueError("learning rate must be positive")
+        for name, beta in (("beta1", self.beta1), ("beta2", self.beta2)):
+            if not 0.0 <= beta < 1.0:
+                raise ValueError(f"{name} must lie in [0, 1), got {beta}")
 
 
 @dataclass(frozen=True)
@@ -139,12 +113,12 @@ class TrainConfig:
             raise ValueError("batch_tokens must be positive")
         if self.eval_tokens < 1:
             raise ValueError("eval_tokens must be positive")
+        if self.load_window < 1:
+            raise ValueError("load_window must be positive")
         if self.corpus.dim != self.model.dim:
             raise ValueError(
                 f"corpus dim {self.corpus.dim} != model dim {self.model.dim}"
             )
-        # The mechanism token must parse up front, not at step 1.
-        self.balance.build_state(self.model.experts)
 
 
 # -- optimizers --------------------------------------------------------------------
@@ -316,7 +290,7 @@ class Trainer:
         self.model = MoeStack(config.model, n_outputs, rng)
         self.params = self.model.parameters()
         self.balancers = [
-            config.balance.build_state(config.model.experts)
+            BalancerState(config.balance, config.model.experts)
             for _ in range(config.model.layers)
         ]
         self.optimizer = Optimizer(config.optimizer, self.params, config.steps)
@@ -338,10 +312,7 @@ class Trainer:
 
         biases = [b.bias for b in self.balancers]
         logits, routings = self.model.forward(x, biases)
-        if cfg.corpus.label_rule == "domain_id":
-            task = cross_entropy(logits, labels)
-        else:
-            task = squared_error(logits, labels)
+        task = self._task_loss(logits, labels)
 
         # ema_update rebinds m, so these references keep the pre-step EMAs.
         previous_m = [balancer.m for balancer in self.balancers]
@@ -360,8 +331,8 @@ class Trainer:
             self.step_index = t - 1
             raise NumericalError(t, self.snapshot())
 
-        for balancer, routing in zip(self.balancers, routings):
-            if balancer.mechanism == "loss_free":
+        if cfg.balance.mechanism == "loss_free":
+            for balancer, routing in zip(self.balancers, routings):
                 balancer.loss_free_step(routing.f)
 
         for p in self.params:
@@ -384,13 +355,18 @@ class Trainer:
         x, labels, _ = self._eval_batch
         biases = [b.bias for b in self.balancers]
         logits, routings = self.model.forward(x, biases)
+        task = self._task_loss(logits, labels)
         if self.config.corpus.label_rule == "domain_id":
-            task = cross_entropy(logits, labels)
-            acc = float(np.mean(np.argmax(logits.value, axis=1) == labels))
+            acc = accuracy(np.argmax(logits.value, axis=1), labels)
         else:
-            task = squared_error(logits, labels)
             acc = float("nan")
         return float(task.value), acc, routings
+
+    def _task_loss(self, logits: Node, labels: np.ndarray) -> Node:
+        """Cross-entropy on domain ids, squared error on regression targets."""
+        if self.config.corpus.label_rule == "domain_id":
+            return cross_entropy(logits, labels)
+        return squared_error(logits, labels)
 
     def _record_eval(self, t: int) -> None:
         task_loss, acc, _ = self.evaluate()

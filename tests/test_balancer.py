@@ -10,12 +10,9 @@ from phibal.potentials import PotentialSpec, default_catalog, link
 from phibal.training import BalanceConfig
 
 
-def make_state(**kwargs) -> BalancerState:
-    kwargs.setdefault("n_experts", 2)
-    kwargs.setdefault("mechanism", "phi")
-    if kwargs["mechanism"] == "phi":
-        kwargs.setdefault("potential", PotentialSpec("neg_shannon"))
-    return BalancerState(**kwargs)
+def make_state(n_experts=2, potential=PotentialSpec("neg_shannon"), **knobs) -> BalancerState:
+    phi = potential.token() if potential else None
+    return BalancerState(BalanceConfig(phi=phi, **knobs), n_experts)
 
 
 # -- EMA ----------------------------------------------------------------------------
@@ -66,6 +63,22 @@ def test_eta_and_alpha_ranges_enforced():
         make_state(eta=1.5)
     with pytest.raises(ValueError):
         BalanceConfig(alpha=-0.1)
+
+
+@pytest.mark.parametrize(
+    "knobs",
+    [
+        {"eta": 0.0},
+        {"eta": 1.5},
+        {"mechanism": "bogus"},
+        {"statistic": "x"},
+        {"mechanism": "phi", "phi": None},
+    ],
+    ids=["eta=0", "eta=1.5", "mechanism", "statistic", "phi_missing"],
+)
+def test_balance_config_rejects_bad_knobs_when_built(knobs):
+    with pytest.raises(ValueError):
+        BalanceConfig(**knobs)
 
 
 # -- price-weighted loss -------------------------------------------------------------
@@ -135,7 +148,7 @@ def test_aux_gradient_pushes_most_loaded_logit_down(spec):
     for _ in range(5):
         logits = parameter(rng.standard_normal((6, 4)) * 1.5)
         p_bar = softmax_rows(logits).mean(axis=0)
-        state = BalancerState(4, mechanism="phi", potential=spec)
+        state = BalancerState(BalanceConfig(phi=spec.token()), 4)
         state.m = p_bar.value.copy()  # EMA equals the skewed batch mean
         state.phi_aux_loss(p_bar).backward()
         heaviest = int(np.argmax(p_bar.value))

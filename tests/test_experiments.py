@@ -1,5 +1,6 @@
 import csv
 import textwrap
+from pathlib import Path
 
 import pytest
 import yaml
@@ -117,6 +118,18 @@ def test_plan_rejects_empty_values(tmp_path):
 def test_plan_rejects_unknown_axis(tmp_path):
     with pytest.raises(ConfigError):
         parse_config(write_tiny_plan(tmp_path, axis="temperature"))
+
+
+@pytest.mark.parametrize("key, value", [("values", "euclidean"), ("seeds", 3)])
+def test_plan_rejects_values_and_seeds_that_are_not_lists(tmp_path, key, value):
+    path = Path(write_tiny_plan(tmp_path))
+    raw = yaml.safe_load(path.read_text())
+    raw["sweep"][key] = value
+    path.write_text(yaml.safe_dump(raw))
+    with pytest.raises(ConfigError, match=key):
+        parse_config(path)
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "s")]) == EXIT_CONFIG
+    assert not (tmp_path / "s").exists()
 
 
 # -- plan expansion and CSVs ----------------------------------------------------------

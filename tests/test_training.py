@@ -56,6 +56,18 @@ def test_bad_mechanism_fails_at_config_time():
         TrainConfig(balance=BalanceConfig(mechanism="bogus"))
 
 
+def test_load_window_must_be_positive():
+    with pytest.raises(ValueError, match="load_window"):
+        TrainConfig(load_window=0)
+
+
+@pytest.mark.parametrize("value", [1.0, -0.1])
+@pytest.mark.parametrize("name", ["beta1", "beta2"])
+def test_adam_betas_must_lie_in_unit_interval(name, value):
+    with pytest.raises(ValueError, match=name):
+        OptimizerConfig(**{name: value})
+
+
 # -- optimizers ------------------------------------------------------------------------
 
 
