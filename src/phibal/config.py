@@ -62,6 +62,8 @@ _FLOATS = {
     for section, cls in _CLASSES.items()
 }
 _SWEEP_KEYS = ("axis", "values", "seeds")
+# A file that leaves out corpus ``domains`` gets the default config's count.
+_DEFAULT_DOMAINS = TrainConfig().corpus.n_domains
 
 
 def _check_keys(section: str, data: dict, allowed: Container[str]) -> None:
@@ -113,7 +115,9 @@ def config_from_dict(raw: dict) -> TrainConfig:
             model=model,
             balance=BalanceConfig(**kwargs["balance"]),
             optimizer=OptimizerConfig(**kwargs["optimizer"]),
-            corpus=CorpusSpec(dim=model.dim, **kwargs["corpus"]),
+            corpus=CorpusSpec(
+                **{"n_domains": _DEFAULT_DOMAINS, "dim": model.dim, **kwargs["corpus"]}
+            ),
             **kwargs["train"],
         )
     except (TypeError, ValueError) as exc:
@@ -144,11 +148,15 @@ def plan_from_dict(raw: dict):
     for key in ("values", "seeds"):
         if not isinstance(sweep.get(key, []), (list, type(None))):
             raise ConfigError(f"sweep {key!r} must be a list, got {type(sweep[key]).__name__}")
+    seeds = sweep.get("seeds", [0]) or ()
+    for seed in seeds:
+        if not isinstance(seed, int) or isinstance(seed, bool):
+            raise ConfigError(f"sweep 'seeds' must hold integers, got {seed!r}")
     return ExperimentPlan(
         base=config_from_dict(raw),
         axis=sweep.get("axis"),
         values=tuple(sweep.get("values") or ()),
-        seeds=tuple(int(s) for s in sweep.get("seeds", [0]) or ()),
+        seeds=tuple(seeds),
     )
 
 

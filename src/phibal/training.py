@@ -123,18 +123,64 @@ class TrainConfig:
 
 # -- optimizers --------------------------------------------------------------------
 
+# Most elements in one optimizer chunk: a chunk's slices of the arena and of
+# both moments, plus the two scratch arrays, then stay in cache for a step.
+_CHUNK = 1 << 15
+
 
 class Optimizer:
-    """SGD or AdamW with linear warmup, then constant or cosine-decayed lr."""
+    """SGD or AdamW with linear warmup, then constant or cosine-decayed lr.
+
+    The optimizer owns the parameters' storage: one contiguous float64 arena
+    ``flat``, of which each parameter's value is a reshaped view, and for
+    AdamW flat moments ``m``/``v`` laid out the same way. A step walks chunks,
+    runs of consecutive parameters of at most ``_CHUNK`` elements (a larger
+    parameter is a chunk of its own): it gathers the chunk's gradients into a
+    chunk-sized scratch and updates the chunk with in-place ufuncs in the
+    per-array formula's operation order, so every result keeps its bits.
+    """
 
     def __init__(self, cfg: OptimizerConfig, params: list[Node], total_steps: int) -> None:
         self.cfg = cfg
         self.params = params
         self.total_steps = total_steps
         self.t = 0
+        self._starts = np.cumsum([0] + [p.value.size for p in params]).tolist()
+        self.flat = np.empty(self._starts[-1])
+        for p, view in zip(params, self._views(self.flat)):
+            view[...] = p.value
+            p.value = view
         if cfg.kind == "adamw":
-            self.m = [np.zeros(p.shape) for p in params]
-            self.v = [np.zeros(p.shape) for p in params]
+            self.m = np.zeros_like(self.flat)
+            self.v = np.zeros_like(self.flat)
+
+        starts = self._starts
+        runs: list[list[int]] = []
+        for i in range(len(params)):
+            if runs and starts[i + 1] - starts[runs[-1][0]] <= _CHUNK:
+                runs[-1].append(i)
+            else:
+                runs.append([i])
+        width = max((starts[r[-1] + 1] - starts[r[0]] for r in runs), default=0)
+        self._grad, self._tmp = np.empty(width), np.empty(width)
+        # Per chunk: its slice of the arena, and each member parameter with
+        # its view of the gradient scratch.
+        self._chunks: list[tuple[slice, list[tuple[Node, np.ndarray]]]] = []
+        for run in runs:
+            lo, hi = starts[run[0]], starts[run[-1] + 1]
+            members = [
+                (params[i], self._grad[starts[i] - lo:starts[i + 1] - lo].reshape(params[i].shape))
+                for i in run
+            ]
+            self._chunks.append((slice(lo, hi), members))
+
+    def _views(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Each parameter's reshaped view of an arena-sized array."""
+        starts = self._starts
+        return [
+            flat[lo:hi].reshape(p.shape)
+            for p, lo, hi in zip(self.params, starts, starts[1:])
+        ]
 
     def learning_rate(self) -> float:
         cfg = self.cfg
@@ -151,33 +197,63 @@ class Optimizer:
         self.t += 1
         lr = self.learning_rate()
         cfg = self.cfg
-        for i, p in enumerate(self.params):
-            g = p.grad if p.grad is not None else np.zeros(p.shape)
+        b1, b2 = cfg.beta1, cfg.beta2
+        c1, c2 = 1.0 - b1**self.t, 1.0 - b2**self.t
+        for span, members in self._chunks:
+            for p, g in members:
+                if p.grad is None:
+                    g.fill(0.0)
+                else:
+                    g[...] = p.grad
+            n = span.stop - span.start
+            g, tmp, p = self._grad[:n], self._tmp[:n], self.flat[span]
             if cfg.kind == "sgd":
-                p.value -= lr * g
+                # p -= lr * g
+                np.multiply(lr, g, out=g)
+                np.subtract(p, g, out=p)
                 continue
-            self.m[i] = cfg.beta1 * self.m[i] + (1.0 - cfg.beta1) * g
-            self.v[i] = cfg.beta2 * self.v[i] + (1.0 - cfg.beta2) * g * g
-            m_hat = self.m[i] / (1.0 - cfg.beta1**self.t)
-            v_hat = self.v[i] / (1.0 - cfg.beta2**self.t)
-            p.value -= lr * (
-                m_hat / (np.sqrt(v_hat) + cfg.eps) + cfg.weight_decay * p.value
-            )
+            m, v = self.m[span], self.v[span]
+            # m = b1 * m + (1 - b1) * g
+            np.multiply(b1, m, out=m)
+            np.multiply(1.0 - b1, g, out=tmp)
+            np.add(m, tmp, out=m)
+            # v = b2 * v + (1 - b2) * g * g
+            np.multiply(b2, v, out=v)
+            np.multiply(1.0 - b2, g, out=tmp)
+            np.multiply(tmp, g, out=tmp)
+            np.add(v, tmp, out=v)
+            # p -= lr * ((m / c1) / (sqrt(v / c2) + eps) + wd * p)
+            np.divide(v, c2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            np.add(tmp, cfg.eps, out=tmp)
+            np.divide(m, c1, out=g)
+            np.divide(g, tmp, out=tmp)
+            np.multiply(cfg.weight_decay, p, out=g)
+            np.add(tmp, g, out=tmp)
+            np.multiply(lr, tmp, out=tmp)
+            np.subtract(p, tmp, out=p)
 
     def to_snapshot(self) -> dict:
         snap = {"t": self.t}
         if self.cfg.kind == "adamw":
-            snap["m"] = [a.tolist() for a in self.m]
-            snap["v"] = [a.tolist() for a in self.v]
+            snap["m"] = [a.tolist() for a in self._views(self.m)]
+            snap["v"] = [a.tolist() for a in self._views(self.v)]
         return snap
 
     def restore(self, snap: dict) -> None:
+        """Load a snapshot's step count and moments into the flat arrays.
+
+        Raises ValueError naming the first moment list or array that does
+        not fit the parameters.
+        """
         if ("m" in snap) != (self.cfg.kind == "adamw"):
             raise ValueError(f"snapshot optimizer state does not fit a {self.cfg.kind} optimizer")
-        self.t = snap["t"]
         if self.cfg.kind == "adamw":
-            self.m = [np.asarray(a) for a in snap["m"]]
-            self.v = [np.asarray(a) for a in snap["v"]]
+            for key, flat in (("m", self.m), ("v", self.v)):
+                _check_count(f"optimizer {key} arrays", snap[key], self.params)
+                for i, (view, stored) in enumerate(zip(self._views(flat), snap[key])):
+                    view[...] = _load_array(f"optimizer {key} {i}", stored, view)
+        self.t = snap["t"]
 
 
 # -- model -------------------------------------------------------------------------
@@ -423,7 +499,7 @@ class Trainer:
         _check_count("balancers", snap["balancers"], trainer.balancers)
         trainer.step_index = snap["step"]
         for i, (p, stored) in enumerate(zip(trainer.params, snap["params"])):
-            p.value = _load_array(f"parameter {i}", stored, p.value)
+            p.value[...] = _load_array(f"parameter {i}", stored, p.value)
         trainer.optimizer.restore(snap["optimizer"])
         for i, (balancer, stored) in enumerate(zip(trainer.balancers, snap["balancers"])):
             balancer.m = _load_array(f"balancer {i} m", stored["m"], balancer.m)

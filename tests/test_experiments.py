@@ -132,6 +132,31 @@ def test_plan_rejects_values_and_seeds_that_are_not_lists(tmp_path, key, value):
     assert not (tmp_path / "s").exists()
 
 
+@pytest.mark.parametrize("seed", [[1], "a", 1.5, True])
+def test_plan_rejects_seeds_that_are_not_integers(tmp_path, seed):
+    path = Path(write_tiny_plan(tmp_path))
+    raw = yaml.safe_load(path.read_text())
+    raw["sweep"]["seeds"] = [0, seed]
+    path.write_text(yaml.safe_dump(raw))
+    with pytest.raises(ConfigError, match="seeds"):
+        parse_config(path)
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "s")]) == EXIT_CONFIG
+    assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["train: {steps: 10, eval_every: 5}\n", "corpus: {cluster_scale: 0.3}\n"],
+    ids=["train_only", "corpus_only"],
+)
+def test_config_without_domains_uses_the_default_corpus(tmp_path, text):
+    path = tmp_path / "run.yaml"
+    path.write_text(text)
+    cfg = parse_config(path)
+    assert cfg.corpus.n_domains == TrainConfig().corpus.n_domains
+    assert cfg.corpus.dim == cfg.model.dim
+
+
 # -- plan expansion and CSVs ----------------------------------------------------------
 
 

@@ -17,6 +17,7 @@ from phibal.training import (
     compute_token_budget,
     cross_entropy,
     Optimizer,
+    _CHUNK,
     train,
 )
 
@@ -128,6 +129,75 @@ def test_warmup_schedule_ramps_linearly():
         p.grad = np.array(0.0)
         opt.step()
     assert seen == pytest.approx([0.25, 0.5, 0.75, 1.0, 1.0, 1.0])
+
+
+def _reference_optimizer(cfg, values, grads, total_steps):
+    """The per-array update formula, one parameter at a time; yields the
+    parameter values after each step."""
+    values = [np.array(v, dtype=np.float64) for v in values]
+    m = [np.zeros_like(v) for v in values]
+    v = [np.zeros_like(v) for v in values]
+    schedule = Optimizer(cfg, [], total_steps)
+    for t, step_grads in enumerate(grads, start=1):
+        schedule.t = t
+        lr = schedule.learning_rate()
+        for i, g in enumerate(step_grads):
+            g = np.zeros(values[i].shape) if g is None else g
+            if cfg.kind == "sgd":
+                values[i] -= lr * g
+                continue
+            m[i] = cfg.beta1 * m[i] + (1.0 - cfg.beta1) * g
+            v[i] = cfg.beta2 * v[i] + (1.0 - cfg.beta2) * g * g
+            m_hat = m[i] / (1.0 - cfg.beta1**t)
+            v_hat = v[i] / (1.0 - cfg.beta2**t)
+            values[i] -= lr * (
+                m_hat / (np.sqrt(v_hat) + cfg.eps) + cfg.weight_decay * values[i]
+            )
+        yield values
+
+
+@pytest.mark.parametrize("kind", ["sgd", "adamw"])
+def test_flat_optimizer_matches_per_array_formula_bitwise(kind):
+    # Four chunks: a 0-d parameter; one larger than a chunk; a run of two;
+    # a last one. Parameter 3 has no gradient on alternate steps, between
+    # parameters that have one.
+    shapes = [(), (_CHUNK + 7,), (_CHUNK // 4, 2), (8, 16), (3, _CHUNK // 3)]
+    rng = np.random.default_rng(12)
+    values = [rng.standard_normal(s) for s in shapes]
+    steps = 7
+    grads = [
+        [None if (i == 3 and t % 2) else rng.standard_normal(s) for i, s in enumerate(shapes)]
+        for t in range(steps)
+    ]
+    cfg = OptimizerConfig(
+        kind=kind, lr=0.05, weight_decay=0.01, warmup_steps=2, cosine=True
+    )
+    params = [parameter(v.copy()) for v in values]
+    opt = Optimizer(cfg, params, steps)
+    assert len(opt._chunks) == 4
+    for step_grads, expected in zip(grads, _reference_optimizer(cfg, values, grads, steps)):
+        for p, g in zip(params, step_grads):
+            p.grad = None if g is None else g.copy()
+        opt.step()
+        for p, want in zip(params, expected):
+            assert p.value.shape == want.shape
+            assert p.value.tobytes() == want.tobytes()
+
+
+def test_parameters_are_views_of_the_arena():
+    def shares_arena(trainer):
+        return all(np.shares_memory(p.value, trainer.optimizer.flat) for p in trainer.params)
+
+    cfg = with_seed(short_config(), 2)
+    trainer = Trainer(cfg)
+    assert shares_arena(trainer)
+    for _ in range(3):
+        trainer.step()
+    assert shares_arena(trainer)
+    resumed = Trainer.restore(cfg, json.loads(json.dumps(trainer.snapshot())))
+    assert shares_arena(resumed)
+    for p, q in zip(resumed.params, trainer.params):
+        assert p.value.tobytes() == q.value.tobytes()
 
 
 # -- training loop -----------------------------------------------------------------------
@@ -293,6 +363,29 @@ def test_restore_rejects_snapshot_of_another_config():
     sgd = with_seed(short_config(optimizer=OptimizerConfig(kind="sgd")), 1)
     with pytest.raises(ValueError, match="sgd optimizer"):
         Trainer.restore(sgd, snap)
+
+
+def test_restore_rejects_malformed_moments():
+    cfg = with_seed(short_config(), 1)
+    trainer = Trainer(cfg)
+    trainer.step()
+    snap = json.loads(json.dumps(trainer.snapshot()))
+    assert np.shape(snap["optimizer"]["v"][0]) == (8, 16)
+
+    bad_shape = json.loads(json.dumps(snap))
+    bad_shape["optimizer"]["v"][0] = [[0.0]]
+    with pytest.raises(ValueError, match="optimizer v 0"):
+        Trainer.restore(cfg, bad_shape)
+
+    short = json.loads(json.dumps(snap))
+    short["optimizer"]["m"] = short["optimizer"]["m"][:3]
+    with pytest.raises(ValueError, match="3 optimizer m arrays"):
+        Trainer.restore(cfg, short)
+
+    swapped = json.loads(json.dumps(snap))
+    swapped["optimizer"]["m"][3] = swapped["optimizer"]["m"][9]  # a w2, not a w1
+    with pytest.raises(ValueError, match="optimizer m 3"):
+        Trainer.restore(cfg, swapped)
 
 
 def test_snapshot_rejects_unknown_version():
