@@ -8,9 +8,11 @@ minimizer is the uniform distribution. Each family exposes four maps:
     conjugate_value(spec, q) the convex conjugate sup_m <m,q> - value(m)
     inverse_link(spec, q)   the conjugate's gradient, inverting link
 
-Conjugates with no closed form (Tsallis and Renyi entropies) are evaluated
-numerically: coordinatewise bisection for the separable Tsallis family, and
-projected gradient ascent for the coordinate-coupled Renyi family.
+Every conjugate is in closed form. For the separable Tsallis family the
+inverse link solves link(m) = q coordinatewise; for the coordinate-coupled
+Renyi family it solves a scalar fixed point. Both conjugates are then the
+Fenchel-Young value <m, q> - value(m) at that maximizer m (Blondel, Martins
+& Niculae, "Learning with Fenchel-Young losses").
 """
 
 from __future__ import annotations
@@ -48,13 +50,6 @@ _PARAM_NAMES = tuple(dict.fromkeys(name for names in _PARAMS.values() for name i
 
 _ENTROPIC = {"neg_shannon", "tsallis", "renyi"}
 
-# Bounds for the coordinatewise bisection used by the numeric Tsallis
-# conjugate and inverse link.
-_BISECT_LO = 1e-12
-_BISECT_HI = 1e3
-_BISECT_ITERS = 200
-
-
 class DomainError(ValueError):
     """Input lies outside the domain of the requested potential map."""
 
@@ -67,10 +62,10 @@ class DomainError(ValueError):
 class PotentialSpec:
     """A potential family plus its parameters.
 
-    Parameter ranges are enforced at construction: lp needs p > 1 (inf is the
-    max-norm variant), tsallis needs alpha > 0 and alpha != 1, renyi needs
-    alpha in (0, 1), soft_l1/pseudo_huber need delta > 0, log_cosh needs
-    beta > 0.
+    Parameter ranges are enforced at construction: every parameter must be
+    finite except lp's p, which needs p > 1 (inf is the max-norm variant);
+    tsallis needs alpha > 0 and alpha != 1, renyi needs alpha in (0, 1),
+    soft_l1/pseudo_huber need delta > 0, log_cosh needs beta > 0.
     """
 
     family: str
@@ -89,6 +84,10 @@ class PotentialSpec:
             raise ValueError(
                 f"potential {fam!r} takes parameters {sorted(needed)}, got {sorted(given)}"
             )
+        for name in needed:
+            x = getattr(self, name)
+            if not math.isfinite(x) and not (fam == "lp" and x == math.inf):
+                raise ValueError(f"potential {fam!r} needs a finite {name}, got {name}={x}")
         if fam == "lp" and not self.p > 1.0:
             raise ValueError(f"lp potential needs p > 1, got p={self.p}")
         if fam == "tsallis" and (self.alpha <= 0.0 or self.alpha == 1.0):
@@ -312,9 +311,23 @@ def conjugate_value(spec: PotentialSpec, q) -> float:
     if fam == "neg_shannon":
         return _fsum(np.exp(q - 1.0))
     if fam == "tsallis":
-        return _tsallis_conjugate(spec.alpha, q)
+        a = spec.alpha
+        base = _tsallis_base(a, q)
+        if a < 1.0 and np.any(base <= 0.0):
+            # The link saturates at 1/(1-alpha) from below; larger prices
+            # have an unbounded supremum.
+            return math.inf
+        # For alpha > 1, prices at or below link(0+) = -1/(alpha-1) are
+        # maximized at m = 0.
+        m = np.maximum(base, 0.0) ** (1.0 / (a - 1.0))
+        return float(m @ q) - value(spec, m)
     if fam == "renyi":
-        return _renyi_conjugate(spec.alpha, q)
+        # Finite only for strictly negative prices: a nonnegative coordinate
+        # lets the linear term grow without bound.
+        if np.any(q >= 0.0):
+            return math.inf
+        m = _renyi_invert(spec.alpha, q)
+        return float(m @ q) - value(spec, m)
     if fam == "pseudo_huber":
         a = np.abs(q)
         if np.any(a > 1.0):
@@ -353,16 +366,15 @@ def inverse_link(spec: PotentialSpec, q) -> np.ndarray:
     if fam == "neg_shannon":
         return np.exp(q - 1.0)
     if fam == "tsallis":
-        lo_q = _tsallis_link_scalar(spec.alpha, _BISECT_LO)
-        hi_q = _tsallis_link_scalar(spec.alpha, _BISECT_HI)
-        bad = np.flatnonzero((q < lo_q) | (q > hi_q))
+        base = _tsallis_base(spec.alpha, q)
+        bad = np.flatnonzero(base <= 0.0)
         if bad.size:
             i = int(bad[0])
             raise DomainError(
                 f"tsallis: price {q[i]!r} at index {i} is outside the invertible range",
                 index=i,
             )
-        return _tsallis_invert(spec.alpha, q)
+        return base ** (1.0 / (spec.alpha - 1.0))
     if fam == "renyi":
         return _renyi_invert(spec.alpha, q)
     if fam == "pseudo_huber":
@@ -391,70 +403,16 @@ def _require_open_unit(q: np.ndarray, family: str) -> None:
         )
 
 
-# -- numeric conjugates -----------------------------------------------------------
+# -- Tsallis and Renyi inverse links ------------------------------------------------
 
 
-def _tsallis_link_scalar(alpha: float, m: float) -> float:
-    return (alpha * m ** (alpha - 1.0) - 1.0) / (alpha - 1.0)
+def _tsallis_base(alpha: float, q: np.ndarray) -> np.ndarray:
+    """(1 + (alpha-1) q) / alpha, which link(m) = q makes equal to m^(alpha-1).
 
-
-def _tsallis_invert(alpha: float, q: np.ndarray) -> np.ndarray:
-    """Solve link(m) = q coordinatewise by bisection; link is increasing in m."""
-    lo = np.full_like(q, _BISECT_LO)
-    hi = np.full_like(q, _BISECT_HI)
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        val = (alpha * mid ** (alpha - 1.0) - 1.0) / (alpha - 1.0)
-        take_hi = val < q
-        lo = np.where(take_hi, mid, lo)
-        hi = np.where(take_hi, hi, mid)
-    return 0.5 * (lo + hi)
-
-
-def _tsallis_conjugate(alpha: float, q: np.ndarray) -> float:
-    if alpha < 1.0:
-        # The link saturates at 1/(1-alpha) from below; larger prices have an
-        # unbounded supremum.
-        if np.any(q >= 1.0 / (1.0 - alpha)):
-            return math.inf
-    m = _tsallis_invert(alpha, np.clip(q, _tsallis_link_scalar(alpha, _BISECT_LO), None))
-    spec = PotentialSpec("tsallis", alpha=alpha)
-    return float(m @ q) - value(spec, m)
-
-
-def _renyi_conjugate(alpha: float, q: np.ndarray) -> float:
-    """Projected gradient ascent on <m, q> - value(m) over m >= tiny floor.
-
-    The objective is concave on the positive orthant but the supremum is
-    finite only for strictly negative prices (any nonnegative coordinate lets
-    the linear term grow without bound).
+    It is positive exactly on the link's range: q > -1/(alpha-1) for
+    alpha > 1 and q < 1/(1-alpha) for alpha < 1.
     """
-    if np.any(q >= 0.0):
-        return math.inf
-    spec = PotentialSpec("renyi", alpha=alpha)
-    floor = 1e-12
-    m = np.full_like(q, 0.5)
-    obj = float(m @ q) - value(spec, m)
-    step = 1.0
-    for _ in range(2000):
-        grad = q - link(spec, m)
-        proj = grad.copy()
-        proj[(m <= floor) & (grad < 0.0)] = 0.0
-        if float(np.max(np.abs(proj))) < 1e-8:
-            break
-        improved = False
-        while step >= 1e-16:
-            trial = np.maximum(m + step * grad, floor)
-            trial_obj = float(trial @ q) - value(spec, trial)
-            if trial_obj >= obj:
-                m, obj = trial, trial_obj
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
-            break
-        step = min(step * 2.0, 1e6)
-    return obj
+    return (1.0 + (alpha - 1.0) * q) / alpha
 
 
 def _renyi_invert(alpha: float, q: np.ndarray) -> np.ndarray:

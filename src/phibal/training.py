@@ -490,7 +490,8 @@ class Trainer:
         """Rebuild a trainer for ``config`` and load a snapshot's state into it.
 
         Raises ValueError naming the first mismatch with what the config
-        builds: parameter or balancer count, an array shape, or optimizer kind.
+        builds: parameter, balancer or window layer count, an array shape, a
+        window longer than ``load_window``, or optimizer kind.
         """
         if snap.get("version") != SNAPSHOT_VERSION:
             raise ValueError(f"unsupported snapshot version {snap.get('version')!r}")
@@ -504,10 +505,18 @@ class Trainer:
         for i, (balancer, stored) in enumerate(zip(trainer.balancers, snap["balancers"])):
             balancer.m = _load_array(f"balancer {i} m", stored["m"], balancer.m)
             balancer.bias = _load_array(f"balancer {i} b", stored["b"], balancer.bias)
-        trainer._window = [
-            [np.asarray(counts, dtype=np.int64) for counts in layer_window]
-            for layer_window in snap["window"]
-        ]
+        _check_count("window layers", snap["window"], trainer._window)
+        no_counts = np.zeros(config.model.experts, dtype=np.int64)
+        for i, layer_window in enumerate(snap["window"]):
+            if len(layer_window) > config.load_window:
+                raise ValueError(
+                    f"snapshot window {i} holds {len(layer_window)} batches, "
+                    f"the config's load_window is {config.load_window}"
+                )
+            trainer._window[i] = [
+                _load_array(f"window {i} counts {j}", counts, no_counts)
+                for j, counts in enumerate(layer_window)
+            ]
         trainer.record = RunRecord(rows=[EvalRow(*row) for row in snap["rows"]])
         return trainer
 
@@ -527,8 +536,9 @@ def _check_count(what: str, stored: list, built: list) -> None:
 
 
 def _load_array(what: str, stored, built: np.ndarray | None) -> np.ndarray | None:
-    """A snapshot array, checked against the shape the config gives it."""
-    value = None if stored is None else np.asarray(stored, dtype=np.float64)
+    """A snapshot array, checked against the shape and dtype the config gives it."""
+    dtype = np.float64 if built is None else built.dtype
+    value = None if stored is None else np.asarray(stored, dtype=dtype)
     shape = None if value is None else value.shape
     expected = None if built is None else built.shape
     if shape != expected:

@@ -7,8 +7,8 @@ from phibal.checks import (
     check_uniform_minimizer,
     estimation_bias_gaps,
     gradient_max_rel_error,
-    run_all_checks,
 )
+from phibal.cli import EXIT_OK, main
 
 
 def test_uniform_minimizer_suite():
@@ -31,9 +31,11 @@ def test_gradient_suite():
     assert res.passed, res.detail
 
 
-def test_run_all_reports_every_suite():
-    names = [r.name for r in run_all_checks(grad_tol=1e-4)]
-    assert names == ["uniform-minimizer", "duality", "mirror-step", "gradients"]
+def test_run_all_reports_every_suite(capsys):
+    assert main(["check", "--check-tolerance", "1e-4"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    names = ["uniform-minimizer", "duality", "mirror-step", "gradients"]
+    assert [line.split(" ", 2)[:2] for line in lines] == [["PASS", name] for name in names]
 
 
 def test_gradient_rel_error_helper():

@@ -14,7 +14,6 @@ from phibal.potentials import (
 )
 
 CATALOG = default_catalog()
-NUMERIC = {"tsallis", "renyi"}
 
 
 def interior_simplex(rng, n, floor=1e-3):
@@ -40,11 +39,19 @@ def interior_simplex(rng, n, floor=1e-3):
         dict(family="log_cosh", beta=0.0),
         dict(family="euclidean", p=2.0),
         dict(family="nonsense"),
+        "tsallis:alpha=nan",
+        "tsallis:alpha=inf",
+        "soft_l1:delta=inf",
+        "pseudo_huber:delta=inf",
+        "log_cosh:beta=inf",
     ],
 )
 def test_invalid_parameters_rejected(kwargs):
     with pytest.raises(ValueError):
-        PotentialSpec(**kwargs)
+        if isinstance(kwargs, str):
+            PotentialSpec.parse(kwargs)
+        else:
+            PotentialSpec(**kwargs)
 
 
 @pytest.mark.parametrize(
@@ -190,6 +197,44 @@ def test_conjugate_out_of_domain_returns_inf_marker():
     assert conjugate_value(PotentialSpec("tsallis", alpha=0.5), [3.0]) == math.inf
 
 
+@pytest.mark.parametrize("alpha", [1.1, 2.0, 0.5])
+def test_tsallis_inverse_link_reaches_large_usage(alpha):
+    spec = PotentialSpec("tsallis", alpha=alpha)
+    m = np.array([2000.0, 0.25])
+    np.testing.assert_allclose(inverse_link(spec, link(spec, m)), m, rtol=1e-12)
+
+
+def test_tsallis_inverse_link_domain_bounds():
+    # alpha > 1: the link's range is q > -1/(alpha-1) = -10.
+    with pytest.raises(DomainError) as err:
+        inverse_link(PotentialSpec("tsallis", alpha=1.1), [0.0, -10.0, -20.0])
+    assert err.value.index == 1
+    # alpha < 1: the link's range is q < 1/(1-alpha) = 2.
+    with pytest.raises(DomainError) as err:
+        inverse_link(PotentialSpec("tsallis", alpha=0.5), [0.0, 1.0, 2.0])
+    assert err.value.index == 2
+
+
+def test_tsallis_conjugate_below_link_of_zero():
+    # q_0 = -20 lies below link(0+) = -10, so the supremum puts m_0 = 0; the
+    # other coordinate solves link(m_1) = 0, i.e. m_1 = (1/alpha)^(1/(alpha-1)).
+    a = 1.1
+    m1 = (1.0 / a) ** (1.0 / (a - 1.0))
+    expected = -(m1**a - m1) / (a - 1.0)
+    got = conjugate_value(PotentialSpec("tsallis", alpha=a), [-20.0, 0.0])
+    assert got == pytest.approx(expected, rel=1e-14, abs=1e-15)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5])
+def test_renyi_conjugate_matches_fenchel_young_value(alpha):
+    spec = PotentialSpec("renyi", alpha=alpha)
+    rng = np.random.default_rng(23)
+    for _ in range(50):
+        m0 = rng.dirichlet(np.ones(4))
+        q = link(spec, m0)
+        assert abs(conjugate_value(spec, q) - (float(m0 @ q) - value(spec, m0))) < 1e-10
+
+
 def test_max_norm_variant():
     spec = PotentialSpec("lp", p=math.inf)
     assert value(spec, [0.2, 0.7, 0.1]) == pytest.approx(0.7)
@@ -222,21 +267,19 @@ def test_uniform_point_minimizes_on_simplex(spec, n):
 @pytest.mark.parametrize("spec", CATALOG, ids=lambda s: s.token())
 def test_link_inverse_round_trip(spec):
     rng = np.random.default_rng(7)
-    tol = 1e-5 if spec.family in NUMERIC else 1e-8
     for _ in range(50):
         m = interior_simplex(rng, 4)
-        np.testing.assert_allclose(inverse_link(spec, link(spec, m)), m, atol=tol)
+        np.testing.assert_allclose(inverse_link(spec, link(spec, m)), m, atol=1e-8)
 
 
 @pytest.mark.parametrize("spec", CATALOG, ids=lambda s: s.token())
 def test_fenchel_young_equality(spec):
     rng = np.random.default_rng(11)
-    tol = 1e-4 if spec.family in NUMERIC else 1e-6
     for _ in range(50):
         m = interior_simplex(rng, 4)
         q = link(spec, m)
         gap = value(spec, m) + conjugate_value(spec, q) - float(m @ q)
-        assert abs(gap) < tol
+        assert abs(gap) < 1e-6
 
 
 @pytest.mark.parametrize("spec", CATALOG, ids=lambda s: s.token())

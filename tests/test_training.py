@@ -388,6 +388,30 @@ def test_restore_rejects_malformed_moments():
         Trainer.restore(cfg, swapped)
 
 
+def test_restore_rejects_malformed_window():
+    cfg = with_seed(short_config(), 1)
+    trainer = Trainer(cfg)
+    for _ in range(5):
+        trainer.step()
+    snap = json.loads(json.dumps(trainer.snapshot()))
+    assert [len(layer) for layer in snap["window"]] == [5, 5]
+
+    few_experts = json.loads(json.dumps(snap))
+    few_experts["window"][1][2] = [3, 4]
+    with pytest.raises(ValueError, match=r"window 1 counts 2 has shape \(2,\)"):
+        Trainer.restore(cfg, few_experts)
+
+    one_layer = json.loads(json.dumps(snap))
+    one_layer["window"] = one_layer["window"][:1]
+    with pytest.raises(ValueError, match="1 window layers"):
+        Trainer.restore(cfg, one_layer)
+
+    too_long = json.loads(json.dumps(snap))
+    too_long["window"][0] = [snap["window"][0][0]] * (cfg.load_window + 8)
+    with pytest.raises(ValueError, match=f"window 0 holds {cfg.load_window + 8} batches"):
+        Trainer.restore(cfg, too_long)
+
+
 def test_snapshot_rejects_unknown_version():
     cfg = with_seed(short_config(), 1)
     trainer = Trainer(cfg)
