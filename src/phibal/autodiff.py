@@ -27,8 +27,8 @@ __all__ = [
     "parameter",
     "stop_gradient",
     "matmul",
+    "linear",
     "transpose",
-    "softmax_rows",
     "index_select",
     "gradients",
 ]
@@ -197,14 +197,6 @@ class Node:
 
     # -- elementwise functions ---------------------------------------------
 
-    def exp(self) -> Node:
-        out = np.exp(self.value)
-        return Node(out, (self,), (lambda g, y=out: g * y,), op="exp")
-
-    def log(self) -> Node:
-        out = np.log(self.value)
-        return Node(out, (self,), (lambda g, x=self.value: g / x,), op="log")
-
     def silu(self) -> Node:
         s = 0.5 * (1.0 + np.tanh(0.5 * self.value))
         out = self.value * s
@@ -248,7 +240,8 @@ class Node:
         """Accumulate adjoints into `.grad` for every reachable grad node.
 
         The root must be a scalar; traversal is in descending creation order
-        over the reachable subgraph.
+        over the reachable subgraph. A parent's first contribution is copied
+        in (a VJP may return the child's own adjoint), later ones are added.
         """
         if self.value.size != 1:
             raise ShapeError(
@@ -264,8 +257,9 @@ class Node:
             for parent, vjp in zip(node._parents, node._vjps):
                 contrib = vjp(g)
                 if parent.grad is None:
-                    parent.grad = np.zeros(parent.shape, dtype=np.float64)
-                parent.grad += contrib
+                    parent.grad = np.array(contrib, dtype=np.float64)
+                else:
+                    parent.grad += contrib
 
 
 def _reachable(root: Node) -> list[Node]:
@@ -322,24 +316,28 @@ def matmul(a: Node, b: Node) -> Node:
     )
 
 
+def linear(x: Node, w: Node) -> Node:
+    """x @ w.T as one node, for a (n, d) input and a (m, d) weight.
+
+    The forward multiplies by a contiguous copy of w.T, as `transpose` then
+    `matmul` do: BLAS rounds a transposed view differently.
+    """
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[1]:
+        raise ShapeError(f"linear: {x.shape} @ {w.shape}.T")
+    wt = np.ascontiguousarray(w.value.T)
+    xv = x.value
+    return Node(
+        xv @ wt,
+        (x, w),
+        (lambda g: g @ wt.T, lambda g: (xv.T @ g).T),
+        op="linear",
+    )
+
+
 def transpose(a: Node) -> Node:
     if a.ndim != 2:
         raise ShapeError(f"transpose: need a matrix, got shape {a.shape}")
     return Node(a.value.T, (a,), (lambda g: g.T,), op="transpose")
-
-
-def softmax_rows(a: Node) -> Node:
-    """Row-wise softmax of a matrix, stabilized by row-max subtraction."""
-    if a.ndim != 2:
-        raise ShapeError(f"softmax_rows: need a matrix, got shape {a.shape}")
-    shifted = a.value - a.value.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=1, keepdims=True)
-
-    def vjp(g, y=out):
-        return y * (g - (g * y).sum(axis=1, keepdims=True))
-
-    return Node(out, (a,), (vjp,), op="softmax_rows")
 
 
 def index_select(a: Node, indices, axis: int = 0) -> Node:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import potentials
-from .autodiff import Node, constant
+from .autodiff import Node
 from .potentials import PotentialSpec
 
 __all__ = [
@@ -129,7 +129,7 @@ class BalancerState:
         Call after ema_update for the same batch: prices come from the
         already-updated EMA.
         """
-        return (p_bar * constant(self.price_vector())).sum()
+        return _weighted_sum(p_bar, self.price_vector())
 
     def aux_loss(self, p_bar: Node, f: np.ndarray) -> Node | None:
         """The mechanism's auxiliary loss for one batch, or None if it has none."""
@@ -164,12 +164,26 @@ def stmoe_aux_loss(f: np.ndarray, p_bar: Node) -> Node:
     f = np.asarray(f, dtype=np.float64)
     if f.shape != p_bar.shape:
         raise ValueError(f"frequency shape {f.shape} != probability shape {p_bar.shape}")
-    return (p_bar * constant(f)).sum()
+    return _weighted_sum(p_bar, f)
+
+
+def _weighted_sum(p_bar: Node, c: np.ndarray) -> Node:
+    """<p_bar, c> with c held constant, as one graph node."""
+    return Node((p_bar.value * c).sum(), (p_bar,), (lambda g: g * c,), op="weighted_sum")
 
 
 def total_loss(task: Node, aux_losses: list[Node], alpha: float, n_experts: int) -> Node:
-    """task + alpha * E * sum of per-layer auxiliary losses."""
-    total = task
+    """task + alpha * E * sum of per-layer auxiliary losses, as one graph node
+    (the task itself when there are no auxiliary losses)."""
+    if not aux_losses:
+        return task
+    k = alpha * n_experts
+    value = task.value
     for aux in aux_losses:
-        total = total + aux.scale(alpha * n_experts)
-    return total
+        value = value + aux.value * k
+    return Node(
+        value,
+        (task, *aux_losses),
+        (lambda g: g, *(lambda g: g * k for _ in aux_losses)),
+        op="total_loss",
+    )

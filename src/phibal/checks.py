@@ -226,7 +226,7 @@ def _routing_margins(stack: MoeStack, x: np.ndarray) -> float:
     _, routings = stack.forward(x, [None] * len(stack.layers))
     worst = np.inf
     for routing in routings:
-        ordered = np.sort(routing.probs.value, axis=1)[:, ::-1]
+        ordered = np.sort(routing.probs, axis=1)[:, ::-1]
         k = routing.top_k
         if k < ordered.shape[1]:
             worst = min(worst, float(np.min(ordered[:, k - 1] - ordered[:, k])))

@@ -9,6 +9,7 @@ of (seed, step): the same pair always yields the same batch.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -31,6 +32,8 @@ class CorpusSpec:
     ``centers`` may be provided explicitly; by default they are unit-norm
     directions drawn from the spec seed. ``mixture_schedule`` (set via
     drift_mixture) overrides the mixture per step and is never serialized.
+    The center array is built on first use and kept by the spec; it is not a
+    field, so equality and the serialized config ignore it.
     """
 
     n_domains: int
@@ -61,6 +64,17 @@ class CorpusSpec:
                     f"centers shape {arr.shape} != ({self.n_domains}, {self.dim})"
                 )
 
+    @cached_property
+    def _center_array(self) -> np.ndarray:
+        if self.centers is not None:
+            centers = np.array(self.centers, dtype=np.float64)
+        else:
+            rng = np.random.default_rng((self.seed, _CENTER_STREAM))
+            raw = rng.standard_normal((self.n_domains, self.dim))
+            centers = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+        centers.flags.writeable = False
+        return centers
+
 
 def _check_simplex(w: np.ndarray, n: int, name: str) -> None:
     if w.shape != (n,):
@@ -70,12 +84,11 @@ def _check_simplex(w: np.ndarray, n: int, name: str) -> None:
 
 
 def domain_centers(spec: CorpusSpec) -> np.ndarray:
-    """Cluster centers: explicit if given, otherwise seeded unit directions."""
-    if spec.centers is not None:
-        return np.asarray(spec.centers, dtype=np.float64)
-    rng = np.random.default_rng((spec.seed, _CENTER_STREAM))
-    raw = rng.standard_normal((spec.n_domains, spec.dim))
-    return raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    """Cluster centers: explicit if given, otherwise seeded unit directions.
+
+    Computed once per spec; the array is shared and read-only.
+    """
+    return spec._center_array
 
 
 def teacher_weights(spec: CorpusSpec) -> np.ndarray:

@@ -5,10 +5,12 @@ feed-forward experts. Each token activates its top-k experts; their outputs
 are combined with weights renormalized over the selected set. Non-selected
 experts are never evaluated.
 
-`MoeLayer.forward` runs all of a layer's experts as one graph node with a
-hand-written backward pass, dispatching tokens by a single sort as grouped-GEMM
-MoE kernels do. `MoeLayer.expert_forward` builds the same expert from autodiff
-primitives; it is the reference the tests hold the fused node to.
+`MoeLayer.route` builds three graph nodes (router logits, mean probabilities
+and combination weights) and `MoeLayer.forward` runs all of a layer's experts
+as one more, each with a hand-written backward pass; the experts dispatch
+tokens by a single sort as grouped-GEMM MoE kernels do.
+`MoeLayer.expert_forward` builds the same expert from autodiff primitives; it
+is the reference the tests hold the fused node to.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Node, constant, index_select, matmul, parameter, softmax_rows
+from .autodiff import Node, index_select, linear, matmul, parameter
 
 __all__ = ["RoutingBatch", "MoeLayer"]
 
@@ -26,18 +28,29 @@ __all__ = ["RoutingBatch", "MoeLayer"]
 _MASK_VALUE = -1e30
 
 
+def _softmax_rows(a: np.ndarray) -> np.ndarray:
+    """Row-wise softmax, stabilized by row-max subtraction."""
+    e = np.exp(a - a.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _softmax_rows_vjp(y: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Adjoint of the logits of y = softmax_rows(logits) for adjoint g of y."""
+    return y * (g - (g * y).sum(axis=1, keepdims=True))
+
+
 @dataclass
 class RoutingBatch:
     """Routing decisions for one batch of tokens.
 
-    probs:      (T, E) pre-top-k softmax probabilities (gradient-carrying).
-    p_bar:      (E,) column means of probs.
-    weights:    (T, E) combination weights, exactly zero off the top-k.
+    probs:      (T, E) pre-top-k softmax probabilities (a plain array).
+    p_bar:      (E,) column means of probs (a graph node).
+    weights:    (T, E) combination weights, exactly zero off the top-k (a node).
     selections: (T, k) chosen expert indices, ascending by index per token.
     counts:     (E,) how many tokens selected each expert.
     """
 
-    probs: Node
+    probs: np.ndarray
     p_bar: Node
     weights: Node
     selections: np.ndarray
@@ -105,28 +118,43 @@ class MoeLayer:
         logits. Ties break toward the lower expert index. For k=1 the weight
         is the pre-top-k probability of the chosen expert, so the router
         still receives a gradient.
+
+        Three graph nodes: the logits, p_bar and the weights, each with a
+        hand-written VJP (the softmax VJP, fed broadcast(g / T) for p_bar).
+        p_bar is created before the weights, so the logits receive the
+        weights' adjoint first.
         """
-        logits = matmul(x, self.w_router.T)
-        probs = softmax_rows(logits)
+        logits = linear(x, self.w_router)
+        lv = logits.value
+        probs = _softmax_rows(lv)
         n_tokens = x.shape[0]
 
-        scores = logits.value if bias is None else logits.value + bias
+        scores = lv if bias is None else lv + bias
         # Stable argsort on negated scores: equal scores keep ascending index.
         order = np.argsort(-scores, axis=1, kind="stable")
         selections = np.sort(order[:, : self.top_k], axis=1)
         counts = np.bincount(selections.ravel(), minlength=self.n_experts)
 
+        p_bar = Node(
+            probs.mean(axis=0),
+            (logits,),
+            (lambda g: _softmax_rows_vjp(probs, np.broadcast_to(g / n_tokens, probs.shape)),),
+            op="p_bar",
+        )
         chosen = np.zeros((n_tokens, self.n_experts), dtype=bool)
         np.put_along_axis(chosen, selections, True, axis=1)
         if self.top_k == 1:
-            weights = probs * constant(chosen.astype(np.float64))
+            keep = chosen.astype(np.float64)
+            wv = probs * keep
+            vjp = lambda g: _softmax_rows_vjp(probs, g * keep)
         else:
-            mask = np.where(chosen, 0.0, _MASK_VALUE)
-            weights = softmax_rows(logits + constant(mask))
+            wv = _softmax_rows(lv + np.where(chosen, 0.0, _MASK_VALUE))
+            vjp = lambda g: _softmax_rows_vjp(wv, g)
+        weights = Node(wv, (logits,), (vjp,), op="route_weights")
 
         return RoutingBatch(
             probs=probs,
-            p_bar=probs.mean(axis=0),
+            p_bar=p_bar,
             weights=weights,
             selections=selections,
             counts=counts,

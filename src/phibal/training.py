@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .autodiff import Node, constant, matmul, parameter
+from .autodiff import Node, constant, linear, parameter
 from .balancer import BalanceConfig, BalancerState, total_loss
 from .corpus import CorpusSpec, sample_batch
 from .metrics import accuracy, gini, max_vio
@@ -291,19 +291,33 @@ class MoeStack:
             routing = layer.route(h, bias)
             routings.append(routing)
             h = h + layer.forward(h, routing)
-        return matmul(h, self.head.T), routings
+        return linear(h, self.head), routings
 
 
 def cross_entropy(logits: Node, labels: np.ndarray) -> Node:
-    """Mean cross-entropy of integer labels under row-softmax of logits."""
+    """Mean cross-entropy of integer labels under row-softmax of logits.
+
+    One graph node. Forward and VJP keep the op order of the same loss
+    built from elementwise primitives (shift by the row max, exp, row sum,
+    log, subtract, one-hot product, sum, scale by -1/n), so values and
+    adjoints have that chain's bits.
+    """
     n, c = logits.shape
-    row_max = logits.value.max(axis=1, keepdims=True)
-    shifted = logits - constant(row_max)
-    lse = shifted.exp().sum(axis=1, keepdims=True).log()
-    log_probs = shifted - lse
+    v = logits.value
+    shifted = v - v.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    s = e.sum(axis=1, keepdims=True)
+    log_probs = shifted - np.log(s)
     onehot = np.zeros((n, c))
     onehot[np.arange(n), labels] = 1.0
-    return (log_probs * constant(onehot)).sum().scale(-1.0 / n)
+    scale = -1.0 / n
+
+    def vjp(g):
+        d_log_probs = np.broadcast_to(g * scale, (n, c)) * onehot
+        d_s = (-d_log_probs).sum(axis=1, keepdims=True) / s
+        return d_log_probs + d_s * e
+
+    return Node((log_probs * onehot).sum() * scale, (logits,), (vjp,), op="cross_entropy")
 
 
 def squared_error(pred: Node, targets: np.ndarray) -> Node:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,22 +11,30 @@ from phibal.autodiff import (
     constant,
     gradients,
     index_select,
+    linear,
     matmul,
     parameter,
     set_checked,
-    softmax_rows,
     stop_gradient,
 )
 from phibal.checks import build_gradcheck_instance, finite_diff_gradient, gradient_max_rel_error
 from phibal.training import cross_entropy
 
 
+def softmax_rows(a: np.ndarray) -> np.ndarray:
+    e = np.exp(a - a.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
 def test_primitive_identities():
-    assert float(constant(0.0).exp().value) == 1.0
-    np.testing.assert_allclose(
-        softmax_rows(constant([[0.0, 0.0]])).value, [[0.5, 0.5]]
+    # Equal logits: softmax is uniform, so the cross-entropy is log 2.
+    assert float(cross_entropy(constant([[0.0, 0.0]]), np.array([0])).value) == pytest.approx(
+        math.log(2.0)
     )
+    np.testing.assert_allclose(softmax_rows(np.zeros((1, 2))), [[0.5, 0.5]])
     assert float(constant(0.0).silu().value) == 0.0
+    x = np.arange(6.0).reshape(2, 3)
+    np.testing.assert_array_equal(linear(constant(x), constant(np.eye(3))).value, x)
 
 
 def test_square_gradient():
@@ -39,10 +49,36 @@ def test_softmax_cross_entropy_gradient_is_probs_minus_onehot():
     labels = rng.integers(0, 4, size=5)
     loss = cross_entropy(logits, labels)
     loss.backward()
-    probs = softmax_rows(constant(logits.value)).value
+    probs = softmax_rows(logits.value)
     onehot = np.zeros((5, 4))
     onehot[np.arange(5), labels] = 1.0
     np.testing.assert_allclose(logits.grad, (probs - onehot) / 5, atol=1e-12)
+
+
+def test_first_adjoint_is_copied_not_shared():
+    # add's VJPs return the child's own adjoint array; keeping it as the
+    # parent's gradient would let the second contribution alias the child.
+    x = parameter(np.ones(3))
+    z = x + x
+    z.sum().backward()
+    np.testing.assert_array_equal(z.grad, np.ones(3))
+    np.testing.assert_array_equal(x.grad, np.full(3, 2.0))
+
+
+def test_linear_matches_transpose_then_matmul_bitwise():
+    rng = np.random.default_rng(3)
+    x_arr, w_arr = rng.standard_normal((7, 5)), rng.standard_normal((4, 5))
+    g = rng.standard_normal((7, 4))
+    results = []
+    for fused in (True, False):
+        x, w = parameter(x_arr), parameter(w_arr)
+        y = linear(x, w) if fused else matmul(x, w.T)
+        (y * constant(g)).sum().backward()
+        results.append((y.value, x.grad, w.grad))
+    for a, b in zip(*results):
+        np.testing.assert_array_equal(a, b)
+    with pytest.raises(ShapeError, match=r"linear.*7, 5.*4, 6"):
+        linear(constant(x_arr), constant(np.ones((4, 6))))
 
 
 def test_matmul_shape_error_names_shapes():
@@ -94,7 +130,7 @@ def test_stop_gradient_square_is_flat():
 def test_stop_gradient_absorbs_whole_subgraph():
     rng = np.random.default_rng(1)
     x = parameter(rng.standard_normal(4))
-    hidden = (x * x).exp()
+    hidden = (x * x).silu()
     blocked = stop_gradient(hidden)
     loss = (blocked * constant(rng.standard_normal(4))).sum()
     grads = gradients(loss, [x])
@@ -108,11 +144,11 @@ def test_aux_with_frozen_weights_differs_from_unfrozen():
     logits = parameter(rng.standard_normal((1, 3)))
 
     def frozen():
-        p = softmax_rows(logits)
+        p = logits.silu()
         return (p * stop_gradient(p)).sum()
 
     def unfrozen():
-        p = softmax_rows(logits)
+        p = logits.silu()
         return (p * p).sum()
 
     frozen().backward()
@@ -147,7 +183,7 @@ def test_forward_and_gradients_are_deterministic():
         rng = np.random.default_rng(123)
         w = parameter(rng.standard_normal((4, 4)))
         x = constant(rng.standard_normal((6, 4)))
-        loss = softmax_rows(matmul(x, w)).log().sum().scale(-1.0 / 6)
+        loss = cross_entropy(matmul(x, w), rng.integers(0, 4, size=6))
         loss.backward()
         return loss.value.tobytes(), w.grad.tobytes()
 
@@ -159,8 +195,8 @@ def test_checked_mode_rejects_non_finite():
     try:
         with pytest.raises(NonFiniteError):
             Node([np.nan, 1.0])
-        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError):
-            constant(-1.0).log()
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
+            constant(1e300).scale(1e300)
     finally:
         set_checked(False)
     # Unchecked mode lets the value through.

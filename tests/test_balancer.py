@@ -3,11 +3,26 @@ import math
 import numpy as np
 import pytest
 
-from phibal.autodiff import constant, parameter, softmax_rows
+from phibal.autodiff import Node, constant, parameter
 from phibal.balancer import BalancerState, stmoe_aux_loss, total_loss
 from phibal.checks import MIRROR_TOL, check_mirror_step, mirror_step_numeric
+from phibal.moe import MoeLayer
 from phibal.potentials import PotentialSpec, default_catalog, link
 from phibal.training import BalanceConfig
+
+
+def router_p_bar(logits: Node) -> Node:
+    """The router's p_bar node for these logits: a layer whose router
+    weights are the identity maps its input to its logits unchanged."""
+    n_experts = logits.shape[1]
+    layer = MoeLayer(n_experts, 1, n_experts, 1, np.random.default_rng(0))
+    layer.w_router.value = np.eye(n_experts)
+    return layer.route(logits).p_bar
+
+
+def softmax_mean(logits: np.ndarray) -> np.ndarray:
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return (e / e.sum(axis=1, keepdims=True)).mean(axis=0)
 
 
 def make_state(n_experts=2, potential=PotentialSpec("neg_shannon"), **knobs) -> BalancerState:
@@ -103,7 +118,7 @@ def test_phi_aux_loss_gradient_reaches_only_probabilities():
     state = make_state(n_experts=3)
     state.m = np.array([0.5, 0.3, 0.2])
 
-    p_bar = softmax_rows(logits).mean(axis=0)
+    p_bar = router_p_bar(logits)
     state.phi_aux_loss(p_bar).backward()
     analytic = logits.grad.copy()
 
@@ -114,7 +129,7 @@ def test_phi_aux_loss_gradient_reaches_only_probabilities():
         for j in range(3):
             for sign in (1.0, -1.0):
                 logits.value[i, j] += sign * h
-                p = softmax_rows(constant(logits.value)).mean(axis=0).value
+                p = softmax_mean(logits.value)
                 fd[i, j] += sign * float(p @ w) / (2 * h)
                 logits.value[i, j] -= sign * h
     np.testing.assert_allclose(analytic, fd, atol=1e-6)
@@ -147,7 +162,7 @@ def test_aux_gradient_pushes_most_loaded_logit_down(spec):
     rng = np.random.default_rng(3)
     for _ in range(5):
         logits = parameter(rng.standard_normal((6, 4)) * 1.5)
-        p_bar = softmax_rows(logits).mean(axis=0)
+        p_bar = router_p_bar(logits)
         state = BalancerState(BalanceConfig(phi=spec.token()), 4)
         state.m = p_bar.value.copy()  # EMA equals the skewed batch mean
         state.phi_aux_loss(p_bar).backward()
@@ -183,7 +198,7 @@ def test_stmoe_length_mismatch():
 
 def test_stmoe_frequencies_carry_no_gradient():
     logits = parameter(np.array([[0.2, -0.1]]))
-    p_bar = softmax_rows(logits).mean(axis=0)
+    p_bar = router_p_bar(logits)
     loss = stmoe_aux_loss(np.array([0.75, 0.25]), p_bar)
     loss.backward()
     w = np.array([0.75, 0.25])
@@ -232,6 +247,13 @@ def test_total_loss_pins():
     assert float(total_loss(task, aux, 0.01, 16).value) == pytest.approx(2.016)
     assert float(total_loss(task, [], 0.01, 16).value) == pytest.approx(2.0)
     assert float(total_loss(task, aux, 0.0, 16).value) == pytest.approx(2.0)
+
+
+def test_total_loss_gradient_weights_aux_by_alpha_times_experts():
+    task, aux = parameter(np.array(2.0)), [parameter(np.array(0.1)), parameter(np.array(0.3))]
+    total_loss(task, aux, 0.01, 16).backward()
+    assert float(task.grad) == 1.0
+    assert [float(a.grad) for a in aux] == [pytest.approx(0.16)] * 2
 
 
 # -- mirror step equivalence -----------------------------------------------------------

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from phibal.autodiff import constant, index_select, parameter
+from phibal.autodiff import constant, index_select, linear, parameter
+from phibal.balancer import BalanceConfig, BalancerState, total_loss
 from phibal.checks import finite_diff_gradient, gradient_max_rel_error
 from phibal.moe import MoeLayer
+from phibal.training import cross_entropy
 
 
 def make_layer(n_experts=4, top_k=2, dim=5, ffn_dim=6, seed=0) -> MoeLayer:
@@ -53,7 +55,7 @@ def test_k1_frequencies():
 def test_k1_weight_is_pre_topk_probability():
     layer = make_layer(n_experts=3, top_k=1, dim=3)
     routing, _ = route_with_logits(layer, [[1.0, 0.3, -0.5]])
-    probs = routing.probs.value[0]
+    probs = routing.probs[0]
     np.testing.assert_allclose(routing.weights.value[0], [probs[0], 0.0, 0.0])
 
 
@@ -72,7 +74,7 @@ def test_probs_rows_sum_to_one_and_f_normalization():
     layer = make_layer(n_experts=5, top_k=2, dim=4, seed=5)
     rng = np.random.default_rng(6)
     routing = layer.route(constant(rng.standard_normal((33, 4))))
-    np.testing.assert_allclose(routing.probs.value.sum(axis=1), np.ones(33), atol=1e-9)
+    np.testing.assert_allclose(routing.probs.sum(axis=1), np.ones(33), atol=1e-9)
     assert routing.f.sum() == pytest.approx(1.0, abs=1e-9)
     assert routing.f_per_token.sum() == pytest.approx(2.0, abs=1e-9)
 
@@ -86,7 +88,7 @@ def test_bias_steers_selection_but_not_weight_inputs():
     assert plain.selections[0, 0] == 0
     assert steered.selections[0, 0] == 1
     # Probabilities (and hence weight inputs) never see the bias.
-    np.testing.assert_allclose(steered.probs.value, plain.probs.value, atol=1e-12)
+    np.testing.assert_allclose(steered.probs, plain.probs, atol=1e-12)
 
 
 def test_top_k_must_not_exceed_experts():
@@ -232,12 +234,13 @@ def fused_and_reference_grads(layer, x_arr):
     return results
 
 
-def test_fused_forward_gradient_matches_finite_differences():
-    layer = make_layer(n_experts=4, top_k=2, dim=3, ffn_dim=4, seed=17)
+@pytest.mark.parametrize("top_k", [1, 2])
+def test_fused_forward_gradient_matches_finite_differences(top_k):
+    layer = make_layer(n_experts=4, top_k=top_k, dim=3, ffn_dim=4, seed=17)
     x_arr = np.random.default_rng(18).standard_normal((7, 3))
     x = parameter(x_arr)
-    ordered = np.sort(layer.route(x).probs.value, axis=1)
-    assert np.min(ordered[:, -2] - ordered[:, -3]) > 1e-3  # no selection flips
+    ordered = np.sort(layer.route(x).probs, axis=1)
+    assert np.min(ordered[:, -top_k] - ordered[:, -top_k - 1]) > 1e-3  # no selection flips
     params = [x, layer.w_router, *layer.w1, *layer.w2]
 
     def loss():
@@ -273,3 +276,92 @@ def test_forward_node_count_does_not_grow_with_experts():
         layer.forward(x, routing)
         added.append(constant(0.0).uid - before)
     assert added == [added[0]] * 3
+
+
+# -- the fused router and loss nodes ------------------------------------------------------
+
+
+def composed_reference(layer, x, head, labels, price, k_aux):
+    """The router, a head on the weights, cross-entropy and one price loss,
+    forward and backward in plain numpy in the op order of the graph the
+    fused nodes replace (transpose + matmul, row softmaxes, mean, one-hot
+    cross-entropy, scaled sum). Returns (values, grads of x, router, head)."""
+
+    def softmax(a):
+        shifted = a - a.max(axis=1, keepdims=True)
+        e = np.exp(shifted)
+        return e / e.sum(axis=1, keepdims=True)
+
+    def softmax_vjp(y, g):
+        return y * (g - (g * y).sum(axis=1, keepdims=True))
+
+    n = x.shape[0]
+    wt = np.ascontiguousarray(layer.w_router.value.T)
+    logits = x @ wt
+    probs = softmax(logits)
+    order = np.argsort(-logits, axis=1, kind="stable")
+    selections = np.sort(order[:, : layer.top_k], axis=1)
+    chosen = np.zeros(logits.shape, dtype=bool)
+    np.put_along_axis(chosen, selections, True, axis=1)
+    weights = softmax(logits + np.where(chosen, 0.0, -1e30))
+    p_bar = probs.mean(axis=0)
+    ht = np.ascontiguousarray(head.T)
+    out = weights @ ht
+    c = out.shape[1]
+    row_max = out.max(axis=1, keepdims=True)
+    shifted = out - row_max
+    e = np.exp(shifted)
+    s = e.sum(axis=1, keepdims=True)
+    lse = np.log(s)
+    log_probs = shifted - lse
+    onehot = np.zeros((n, c))
+    onehot[np.arange(n), labels] = 1.0
+    task = (log_probs * onehot).sum() * (-1.0 / n)
+    aux = (p_bar * price).sum()
+    total = task + aux * k_aux
+
+    g = np.ones(())
+    d_log_probs = np.broadcast_to(g * (-1.0 / n), (n, c)).copy() * onehot
+    d_lse = (-d_log_probs).sum(axis=1, keepdims=True)
+    d_e = np.broadcast_to(d_lse / s, (n, c)).copy()
+    d_out = d_log_probs + d_e * e
+    d_weights = d_out @ ht.T
+    d_head = (weights.T @ d_out).T
+    d_p_bar = np.broadcast_to(g * k_aux, p_bar.shape).copy() * price
+    d_probs = np.broadcast_to(d_p_bar / n, probs.shape).copy()
+    d_logits = softmax_vjp(weights, d_weights) + softmax_vjp(probs, d_probs)
+    d_x = d_logits @ wt.T
+    d_router = (x.T @ d_logits).T
+    values = (probs, p_bar, weights, out, task, aux, total)
+    return values, (d_x, d_router, d_head)
+
+
+@pytest.mark.parametrize("top_k", [2, 3])
+def test_fused_router_and_losses_match_numpy_reference_bitwise(top_k):
+    layer = make_layer(n_experts=8, top_k=top_k, dim=6, ffn_dim=4, seed=23)
+    rng = np.random.default_rng(24)
+    x_arr = rng.standard_normal((16, 6))
+    labels = rng.integers(0, 3, size=16)
+    head_arr = rng.standard_normal((3, 8))
+    state = BalancerState(BalanceConfig(phi="neg_shannon"), 8)
+    state.m = rng.dirichlet(np.ones(8))
+    k_aux = 0.01 * 8
+
+    x, head = parameter(x_arr.copy()), parameter(head_arr.copy())
+    layer.w_router.grad = None
+    routing = layer.route(x)
+    out = linear(routing.weights, head)
+    task = cross_entropy(out, labels)
+    aux = state.phi_aux_loss(routing.p_bar)
+    total = total_loss(task, [aux], 0.01, 8)
+    total.backward()
+
+    values, grads = composed_reference(
+        layer, x_arr, head_arr, labels, state.price_vector(), k_aux
+    )
+    fused = (routing.probs, routing.p_bar.value, routing.weights.value, out.value,
+             task.value, aux.value, total.value)
+    for got, want in zip(fused, values):
+        np.testing.assert_array_equal(got, want)
+    for got, want in zip((x.grad, layer.w_router.grad, head.grad), grads):
+        np.testing.assert_array_equal(got, want)

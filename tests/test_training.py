@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from phibal.autodiff import parameter
+from phibal.autodiff import constant, parameter
 from phibal.balancer import total_loss
 from phibal.config import with_seed
 from phibal.corpus import CorpusSpec, sample_batch
@@ -214,6 +214,17 @@ def test_record_steps_strictly_increase():
     layer_count = 2
     assert steps == sorted(steps)
     assert len(set(steps)) * layer_count == len(steps)
+
+
+def test_acceptance_step_builds_at_most_16_nodes():
+    # Per step: the input, per layer the router logits, p_bar, weights,
+    # experts and residual add, then the head, cross-entropy, one price
+    # loss per layer and their total.
+    trainer = Trainer(TrainConfig())
+    trainer.step()
+    before = constant(0.0).uid
+    trainer.step()
+    assert constant(0.0).uid - before - 1 <= 16
 
 
 def test_alpha_zero_total_gradients_match_pure_task_bitwise():
