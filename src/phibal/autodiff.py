@@ -44,6 +44,11 @@ class NonFiniteError(FloatingPointError):
 
 _CHECKED = False
 
+# Most float64 elements in one cache-sized block of work: an optimizer chunk
+# (its arena, moment and scratch slices) or a group of the expert node's
+# slabs then stays in cache while it is worked on.
+_CHUNK = 1 << 15
+
 
 def set_checked(enabled: bool) -> None:
     """Toggle NaN/Inf guards on node construction and every primitive output."""

@@ -6,7 +6,9 @@ Verbs:
     check   run the identity/property suites
     budget  compute-optimal size/token calculator
 
-Exit codes: 0 success, 1 config error, 2 numerical failure, 3 check failure.
+Exit codes: 0 success, 1 config or argument error, 2 numerical failure (a
+non-finite loss or a potential map leaving its domain), 3 check failure.
+Any other exception propagates.
 Setting PHIBAL_DETERMINISTIC=1 forces single-job sweep execution.
 """
 
@@ -19,12 +21,28 @@ from pathlib import Path
 from .checks import run_all_checks
 from .config import ConfigError, parse_config, with_seed
 from .experiments import ExperimentPlan, config_digest, run_plan, write_run_csv
+from .potentials import DomainError
 from .training import NumericalError, TrainConfig, compute_token_budget, train
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
 EXIT_CHECK = 3
+
+
+def _seed(text: str) -> int:
+    """A seed for `numpy.random.default_rng`, which rejects negative ones."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {value}")
+    return value
+
+
+def _compute(text: str) -> float:
+    value = float(text)
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"total compute must be positive, got {text}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -34,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="train a single configuration")
     run_p.add_argument("--config", required=True, help="path to a run config")
     run_p.add_argument("--out", default=None, help="directory for the run CSV")
-    run_p.add_argument("--seed", type=int, default=None, help="override the config seed")
+    run_p.add_argument("--seed", type=_seed, default=None, help="override the config seed")
 
     sweep_p = sub.add_parser("sweep", help="run an ablation plan")
     sweep_p.add_argument("--config", required=True, help="path to a sweep plan")
@@ -50,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     budget_p = sub.add_parser("budget", help="compute-optimal token budget")
-    budget_p.add_argument("compute", type=float, nargs="+", help="total training compute")
+    budget_p.add_argument("compute", type=_compute, nargs="+", help="total training compute")
 
     return parser
 
@@ -132,9 +150,9 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except DomainError as exc:
+        print(f"numerical failure: DomainError: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 def entry() -> None:

@@ -32,8 +32,9 @@ class CorpusSpec:
     ``centers`` may be provided explicitly; by default they are unit-norm
     directions drawn from the spec seed. ``mixture_schedule`` (set via
     drift_mixture) overrides the mixture per step and is never serialized.
-    The center array is built on first use and kept by the spec; it is not a
-    field, so equality and the serialized config ignore it.
+    The center and teacher arrays are built on first use and kept by the
+    spec; they are not fields, so equality and the serialized config ignore
+    them.
     """
 
     n_domains: int
@@ -52,6 +53,8 @@ class CorpusSpec:
             raise ValueError(f"cluster_scale must be nonnegative, got {self.cluster_scale}")
         if self.label_rule not in LABEL_RULES:
             raise ValueError(f"unknown label rule {self.label_rule!r}")
+        if self.seed < 0:
+            raise ValueError(f"corpus seed must be nonnegative, got {self.seed}")
         if self.mixture is None:
             object.__setattr__(
                 self, "mixture", tuple([1.0 / self.n_domains] * self.n_domains)
@@ -75,6 +78,13 @@ class CorpusSpec:
         centers.flags.writeable = False
         return centers
 
+    @cached_property
+    def _teacher_array(self) -> np.ndarray:
+        rng = np.random.default_rng((self.seed, _TEACHER_STREAM))
+        teacher = rng.standard_normal(self.dim) / self.dim**0.5
+        teacher.flags.writeable = False
+        return teacher
+
 
 def _check_simplex(w: np.ndarray, n: int, name: str) -> None:
     if w.shape != (n,):
@@ -92,8 +102,11 @@ def domain_centers(spec: CorpusSpec) -> np.ndarray:
 
 
 def teacher_weights(spec: CorpusSpec) -> np.ndarray:
-    rng = np.random.default_rng((spec.seed, _TEACHER_STREAM))
-    return rng.standard_normal(spec.dim) / spec.dim**0.5
+    """Seeded linear teacher of the regression labels.
+
+    Computed once per spec; the array is shared and read-only.
+    """
+    return spec._teacher_array
 
 
 def sample_batch(

@@ -7,10 +7,12 @@ experts are never evaluated.
 
 `MoeLayer.route` builds three graph nodes (router logits, mean probabilities
 and combination weights) and `MoeLayer.forward` runs all of a layer's experts
-as one more, each with a hand-written backward pass; the experts dispatch
-tokens by a single sort as grouped-GEMM MoE kernels do.
-`MoeLayer.expert_forward` builds the same expert from autodiff primitives; it
-is the reference the tests hold the fused node to.
+as one more, each with a hand-written backward pass. As in grouped-GEMM MoE
+kernels, the experts dispatch tokens by a single sort and loop per expert
+only for the matrix products; the elementwise gate, the weighting and the
+scatter run once per cache-sized group of experts. The tests hold the node
+bit for bit to a per-expert loop and to the expert composed from autodiff
+primitives.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Node, index_select, linear, matmul, parameter
+from .autodiff import _CHUNK, Node, linear, parameter
 
 __all__ = ["RoutingBatch", "MoeLayer"]
 
@@ -37,6 +39,14 @@ def _softmax_rows(a: np.ndarray) -> np.ndarray:
 def _softmax_rows_vjp(y: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Adjoint of the logits of y = softmax_rows(logits) for adjoint g of y."""
     return y * (g - (g * y).sum(axis=1, keepdims=True))
+
+
+def _sum_slots(pairs: np.ndarray, n_tokens: int) -> np.ndarray:
+    """Per token, 0.0 plus its k rows of a (T*k, D) pair array in slot order."""
+    out = np.zeros((n_tokens, pairs.shape[1]))
+    for term in pairs.reshape(n_tokens, -1, pairs.shape[1]).transpose(1, 0, 2):
+        out += term
+    return out
 
 
 @dataclass
@@ -163,48 +173,65 @@ class MoeLayer:
 
     # -- experts -------------------------------------------------------------
 
-    def expert_forward(self, e: int, u: Node) -> Node:
-        """Run expert e on a (n, dim) slab of tokens."""
-        h = matmul(u, self.w1[e].T)
-        gate = index_select(h, np.arange(self.ffn_dim), axis=1)
-        value = index_select(h, np.arange(self.ffn_dim, 2 * self.ffn_dim), axis=1)
-        return matmul(gate.silu() * value, self.w2[e].T)
-
     def forward(self, x: Node, routing: RoutingBatch) -> Node:
         """Router-weighted sum of the selected experts, as one graph node.
 
         The (token, expert) pairs are sorted once by expert, so each active
-        expert's rows form one token-ascending slab. Each slab runs through
-        its expert in plain numpy and is scattered back in ascending expert
-        order, which reproduces `expert_forward` row for row and sums in the
-        same order as a dense masked combination. Parents are x, the routing
-        weights and the active experts' w1/w2 only, so experts with no
-        tokens receive no gradient; one hand-written backward pass, run once
-        however many parents ask for it, serves every parent.
+        expert's rows form one token-ascending slab. Consecutive active
+        experts form groups whose slabs hold at most `_CHUNK` elements of
+        the (rows, 2*ffn_dim) activations; a larger expert is a group of its
+        own. Only the GEMMs run per expert; the gather, the gate, the
+        weighting and the scatter to (token, slot) positions run once per
+        group. Each token then sums its k terms from 0.0 in slot order,
+        which is ascending expert order, so the output keeps the bits of a
+        dense masked combination. Parents are x, the routing weights and
+        the active experts' w1/w2 only, so experts with no tokens receive no
+        gradient; one hand-written backward pass, run once however many
+        parents ask for it, serves every parent.
         """
-        ffn = self.ffn_dim
-        order = np.argsort(routing.selections.ravel(), kind="stable")
-        tokens = order // self.top_k
-        ends = np.cumsum(routing.counts)
-        active = np.flatnonzero(routing.counts)
+        ffn, k = self.ffn_dim, self.top_k
+        n_tokens, dim = x.shape
+        flat = routing.selections.ravel()
+        order = np.argsort(flat, kind="stable")
+        tokens = order // k
+        experts = flat[order]
         xv, wv = x.value, routing.weights.value
-        out = np.zeros_like(xv)
-        saved = []  # per active expert, what its backward reads
+        pair_w = wv[tokens, experts][:, None]
+        ends = np.cumsum(routing.counts).tolist()
+        starts = [end - c for end, c in zip(ends, routing.counts.tolist())]
+        active = np.flatnonzero(routing.counts).tolist()
+        groups: list[list[int]] = []
         for e in active:
-            rows = tokens[ends[e] - routing.counts[e] : ends[e]]
-            # Contiguous transposes: BLAS rounds a transposed view differently,
-            # and these bits must match `expert_forward`.
-            w1t = np.ascontiguousarray(self.w1[e].value.T)
-            w2t = np.ascontiguousarray(self.w2[e].value.T)
-            u = xv[rows]
-            h = u @ w1t
+            if groups and (ends[e] - starts[groups[-1][0]]) * 2 * ffn <= _CHUNK:
+                groups[-1].append(e)
+            else:
+                groups.append([e])
+
+        buf = np.empty((n_tokens * k, dim))
+        saved = []  # per group, what its backward reads
+        for group in groups:
+            lo, hi = starts[group[0]], ends[group[-1]]
+            u = xv[tokens[lo:hi]]
+            h = np.empty((hi - lo, 2 * ffn))
+            spans = []
+            for e in group:
+                sl = slice(starts[e] - lo, ends[e] - lo)
+                # Contiguous transposes: BLAS rounds a transposed view
+                # differently, and these bits must match the composed expert.
+                w1t = np.ascontiguousarray(self.w1[e].value.T)
+                w2t = np.ascontiguousarray(self.w2[e].value.T)
+                np.matmul(u[sl], w1t, out=h[sl])
+                spans.append((sl, w1t, w2t))
             a, b = h[:, :ffn], h[:, ffn:]
             s = 0.5 * (1.0 + np.tanh(0.5 * a))
             silu = a * s
             act = silu * b
-            y = act @ w2t
-            out[rows] += wv[rows, e, None] * y
-            saved.append((e, rows, w1t, w2t, u, a, b, s, silu, act, y))
+            y = np.empty((hi - lo, dim))
+            for sl, _, w2t in spans:
+                np.matmul(act[sl], w2t, out=y[sl])
+            buf[order[lo:hi]] = pair_w[lo:hi] * y
+            saved.append((lo, hi, spans, a, b, s, silu, act, y))
+        out = _sum_slots(buf, n_tokens)
 
         parents = (
             x,
@@ -218,23 +245,33 @@ class MoeLayer:
         def backward(g: np.ndarray) -> tuple:
             """Every parent's gradient, in parent order, from one pass."""
             if cache.get("g") is not g:
-                # The matmuls mirror the VJPs of `expert_forward`'s graph, so the
-                # weight gradients keep its bits.
-                dx = np.zeros_like(xv) if need_dx else None
+                # The matmuls mirror the VJPs of the composed expert graph
+                # (matmul, index_select, silu), so the weight gradients keep
+                # its bits; dx is summed back like the forward output.
+                dbuf = np.empty((n_tokens * k, dim)) if need_dx else None
                 dw = np.zeros_like(wv)
                 d_w1, d_w2 = [], []
-                for e, rows, w1t, w2t, u, a, b, s, silu, act, y in saved:
+                for lo, hi, spans, a, b, s, silu, act, y in saved:
+                    rows = tokens[lo:hi]
                     gr = g[rows]
-                    dw[rows, e] = (gr * y).sum(axis=1)
-                    dy = gr * wv[rows, e, None]
-                    d_w2.append((act.T @ dy).T)
-                    d_act = dy @ w2t.T
-                    dh = np.empty((rows.size, 2 * ffn))
+                    dw[rows, experts[lo:hi]] = (gr * y).sum(axis=1)
+                    dy = gr * pair_w[lo:hi]
+                    d_act = np.empty((hi - lo, ffn))
+                    for sl, _, w2t in spans:
+                        d_w2.append((act[sl].T @ dy[sl]).T)
+                        np.matmul(dy[sl], w2t.T, out=d_act[sl])
+                    dh = np.empty((hi - lo, 2 * ffn))
                     dh[:, :ffn] = d_act * b * (s * (1.0 + a * (1.0 - s)))
                     dh[:, ffn:] = d_act * silu
-                    d_w1.append((u.T @ dh).T)
+                    u = xv[rows]  # gathered again: kept, it would raise peak memory
+                    du = np.empty((hi - lo, dim)) if need_dx else None
+                    for sl, w1t, _ in spans:
+                        d_w1.append((u[sl].T @ dh[sl]).T)
+                        if need_dx:
+                            np.matmul(dh[sl], w1t.T, out=du[sl])
                     if need_dx:
-                        dx[rows] += dh @ w1t.T
+                        dbuf[order[lo:hi]] = du
+                dx = _sum_slots(dbuf, n_tokens) if need_dx else None
                 cache.update(g=g, grads=(dx, dw, *d_w1, *d_w2))
             return cache["grads"]
 

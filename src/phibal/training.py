@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .autodiff import Node, constant, linear, parameter
+from .autodiff import _CHUNK, Node, constant, linear, parameter
 from .balancer import BalanceConfig, BalancerState, total_loss
 from .corpus import CorpusSpec, sample_batch
 from .metrics import accuracy, gini, max_vio
@@ -115,6 +115,8 @@ class TrainConfig:
             raise ValueError("eval_tokens must be positive")
         if self.load_window < 1:
             raise ValueError("load_window must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.corpus.dim != self.model.dim:
             raise ValueError(
                 f"corpus dim {self.corpus.dim} != model dim {self.model.dim}"
@@ -122,10 +124,6 @@ class TrainConfig:
 
 
 # -- optimizers --------------------------------------------------------------------
-
-# Most elements in one optimizer chunk: a chunk's slices of the arena and of
-# both moments, plus the two scratch arrays, then stay in cache for a step.
-_CHUNK = 1 << 15
 
 
 class Optimizer:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from phibal.corpus import CorpusSpec, domain_centers, drift_mixture, sample_batch
+from phibal.corpus import CorpusSpec, domain_centers, drift_mixture, sample_batch, teacher_weights
 
 
 def test_same_seed_step_is_bit_identical():
@@ -62,6 +62,19 @@ def test_linear_teacher_labels():
     # Reproducible teacher: same labels on a second draw.
     _, labels2, _ = sample_batch(spec, 16, 1)
     np.testing.assert_array_equal(labels, labels2)
+
+
+def test_teacher_is_kept_per_spec_and_matches_a_fresh_draw():
+    spec = CorpusSpec(n_domains=3, dim=5, label_rule="linear_teacher", seed=9)
+    teacher = teacher_weights(spec)
+    assert teacher_weights(spec) is teacher
+    assert not teacher.flags.writeable
+    fresh = np.random.default_rng((9, 2)).standard_normal(5) / 5**0.5
+    np.testing.assert_array_equal(teacher, fresh)
+    for step in (0, 1, 17):
+        x, labels, _ = sample_batch(spec, 32, step)
+        np.testing.assert_array_equal(labels, x @ fresh)
+    assert spec == CorpusSpec(n_domains=3, dim=5, label_rule="linear_teacher", seed=9)
 
 
 def test_explicit_centers_are_used():

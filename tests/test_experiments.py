@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from phibal.cli import EXIT_CONFIG, EXIT_OK, main
+from phibal.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from phibal.config import (
     ConfigError,
     config_from_dict,
@@ -24,6 +24,7 @@ from phibal.experiments import (
     write_run_csv,
 )
 from phibal.corpus import CorpusSpec
+from phibal.potentials import DomainError
 from phibal.training import BalanceConfig, TrainConfig, train
 
 TINY = textwrap.dedent(
@@ -366,6 +367,37 @@ def test_cli_bad_config_exit_code(tmp_path):
     bad.write_text("model: {bogus_key: 1}\n")
     assert main(["run", "--config", str(bad)]) == EXIT_CONFIG
     assert main(["run", "--config", str(tmp_path / "missing.yaml")]) == EXIT_CONFIG
+
+
+def test_cli_domain_error_during_run_is_a_numerical_failure(tmp_path, monkeypatch, capsys):
+    def fail(cfg):
+        raise DomainError("renyi: all-zero vector has no finite value")
+
+    monkeypatch.setattr("phibal.cli.train", fail)
+    assert main(["run", "--config", write_tiny_config(tmp_path)]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "config error" not in err
+    assert "numerical failure: DomainError: renyi" in err
+
+
+def test_cli_other_errors_during_run_propagate(tmp_path, monkeypatch):
+    def fail(cfg):
+        raise ValueError("not a config problem")
+
+    monkeypatch.setattr("phibal.cli.train", fail)
+    with pytest.raises(ValueError, match="not a config problem"):
+        main(["run", "--config", write_tiny_config(tmp_path)])
+
+
+def test_cli_rejects_negative_seeds_and_nonpositive_compute(tmp_path):
+    path = write_tiny_config(tmp_path)
+    assert main(["run", "--config", path, "--seed", "-1"]) == EXIT_CONFIG
+    raw = yaml.safe_load(Path(path).read_text())
+    for section in ("train", "corpus"):
+        bad = tmp_path / f"negative_{section}_seed.yaml"
+        bad.write_text(yaml.safe_dump({**raw, section: {**raw.get(section, {}), "seed": -1}}))
+        assert main(["run", "--config", str(bad)]) == EXIT_CONFIG
+    assert main(["budget", "0"]) == EXIT_CONFIG
 
 
 def test_cli_run_rejects_plan(tmp_path):

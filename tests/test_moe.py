@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from phibal.autodiff import constant, index_select, linear, parameter
+from phibal.autodiff import _CHUNK, constant, index_select, linear, matmul, parameter
 from phibal.balancer import BalanceConfig, BalancerState, total_loss
 from phibal.checks import finite_diff_gradient, gradient_max_rel_error
 from phibal.moe import MoeLayer
@@ -12,6 +12,15 @@ from phibal.training import cross_entropy
 
 def make_layer(n_experts=4, top_k=2, dim=5, ffn_dim=6, seed=0) -> MoeLayer:
     return MoeLayer(n_experts, top_k, dim, ffn_dim, np.random.default_rng(seed))
+
+
+def expert_forward(layer, e, u):
+    """Expert e of the layer on a (n, dim) slab of tokens, composed from
+    autodiff primitives: the reference the fused expert node is held to."""
+    h = matmul(u, layer.w1[e].T)
+    gate = index_select(h, np.arange(layer.ffn_dim), axis=1)
+    value = index_select(h, np.arange(layer.ffn_dim, 2 * layer.ffn_dim), axis=1)
+    return matmul(gate.silu() * value, layer.w2[e].T)
 
 
 def route_with_logits(layer, logit_rows, bias=None):
@@ -102,7 +111,7 @@ def test_top_k_must_not_exceed_experts():
 def test_zero_gate_matrix_gives_zero_output():
     layer = make_layer(n_experts=2, top_k=1, dim=3, ffn_dim=4)
     layer.w1[0].value[:] = 0.0
-    out = layer.expert_forward(0, constant(np.random.default_rng(0).standard_normal((5, 3))))
+    out = expert_forward(layer, 0, constant(np.random.default_rng(0).standard_normal((5, 3))))
     np.testing.assert_array_equal(out.value, np.zeros((5, 3)))
 
 
@@ -110,7 +119,7 @@ def test_expert_forward_one_dimensional_pin():
     layer = make_layer(n_experts=2, top_k=1, dim=1, ffn_dim=1)
     layer.w1[0].value = np.array([[1.0], [1.0]])
     layer.w2[0].value = np.array([[1.0]])
-    out = layer.expert_forward(0, constant([[2.0]]))
+    out = expert_forward(layer, 0, constant([[2.0]]))
     sigma2 = 1.0 / (1.0 + math.exp(-2.0))
     assert float(out.value[0, 0]) == pytest.approx(2.0 * 2.0 * sigma2)
     assert float(out.value[0, 0]) == pytest.approx(3.523188, abs=1e-6)
@@ -123,7 +132,7 @@ def test_expert_forward_gradient_matches_finite_differences():
     params = [layer.w1[0], layer.w2[0]]
 
     def loss():
-        out = layer.expert_forward(0, constant(x))
+        out = expert_forward(layer, 0, constant(x))
         return (out * out).sum()
 
     root = loss()
@@ -145,7 +154,7 @@ def test_single_expert_single_k_is_scaled_dense_ffn():
     # One expert: pre-top-k probability is exactly 1.
     np.testing.assert_allclose(routing.weights.value, np.ones((6, 1)))
     y = layer.forward(x, routing)
-    expected = layer.expert_forward(0, x).value
+    expected = expert_forward(layer, 0, x).value
     np.testing.assert_array_equal(y.value, expected)
 
 
@@ -156,7 +165,7 @@ def test_identical_experts_make_weights_irrelevant():
     x = constant(np.random.default_rng(12).standard_normal((5, 4)))
     routing = layer.route(x)
     y = layer.forward(x, routing)
-    expected = layer.expert_forward(0, x).value
+    expected = expert_forward(layer, 0, x).value
     np.testing.assert_allclose(y.value, expected, atol=1e-12)
 
 
@@ -169,7 +178,7 @@ def test_sparse_equals_masked_dense_bitwise():
         y = layer.forward(x, routing)
         dense = np.zeros((9, 5))
         for e in range(4):
-            dense += routing.weights.value[:, [e]] * layer.expert_forward(e, x).value
+            dense += routing.weights.value[:, [e]] * expert_forward(layer, e, x).value
         np.testing.assert_array_equal(y.value, dense)
 
 
@@ -227,7 +236,7 @@ def fused_and_reference_grads(layer, x_arr):
         else:
             y = None
             for e in range(layer.n_experts):
-                term = index_select(routing.weights, [e], axis=1) * layer.expert_forward(e, x)
+                term = index_select(routing.weights, [e], axis=1) * expert_forward(layer, e, x)
                 y = term if y is None else y + term
         (y * y).sum().backward()
         results.append([np.zeros(p.shape) if p.grad is None else p.grad for p in params])
@@ -276,6 +285,101 @@ def test_forward_node_count_does_not_grow_with_experts():
         layer.forward(x, routing)
         added.append(constant(0.0).uid - before)
     assert added == [added[0]] * 3
+
+
+
+def per_expert_reference(layer, xv, wv, selections, g):
+    """The expert node as a plain-numpy loop over active experts, with its
+    adjoint g: each expert's token-ascending rows run through contiguous
+    transposes and are added into the output in ascending expert order; the
+    backward keeps the composed graph's matmul forms. Returns the output and
+    the gradients of x, the weights and each active expert's w1 and w2."""
+    ffn = layer.ffn_dim
+    out, dx, dw = np.zeros_like(xv), np.zeros_like(xv), np.zeros_like(wv)
+    d_w1, d_w2 = {}, {}
+    for e in range(layer.n_experts):
+        rows = np.flatnonzero((selections == e).any(axis=1))
+        if rows.size == 0:
+            continue
+        w1t = np.ascontiguousarray(layer.w1[e].value.T)
+        w2t = np.ascontiguousarray(layer.w2[e].value.T)
+        u = xv[rows]
+        h = u @ w1t
+        a, b = h[:, :ffn], h[:, ffn:]
+        s = 0.5 * (1.0 + np.tanh(0.5 * a))
+        silu = a * s
+        act = silu * b
+        y = act @ w2t
+        out[rows] += wv[rows, e, None] * y
+        gr = g[rows]
+        dw[rows, e] = (gr * y).sum(axis=1)
+        dy = gr * wv[rows, e, None]
+        d_w2[e] = (act.T @ dy).T
+        d_act = dy @ w2t.T
+        dh = np.empty((rows.size, 2 * ffn))
+        dh[:, :ffn] = d_act * b * (s * (1.0 + a * (1.0 - s)))
+        dh[:, ffn:] = d_act * silu
+        d_w1[e] = (u.T @ dh).T
+        dx[rows] += dh @ w1t.T
+    return out, dx, dw, d_w1, d_w2
+
+
+_EVERY_THIRD_OFF = np.where(np.arange(12) % 3 == 1, -1e3, 0.0)
+
+
+@pytest.mark.parametrize("x_requires_grad", [True, False])
+@pytest.mark.parametrize(
+    "layout,n_experts,top_k,dim,ffn_dim,n_tokens,bias",
+    [
+        ("one-group", 8, 2, 16, 32, 64, None),
+        ("many-groups", 64, 4, 64, 128, 1024, None),
+        ("expert-over-budget", 4, 2, 8, 64, 300, np.array([10.0, 0.0, 0.0, 0.0])),
+        ("inactive-between", 12, 1, 16, 64, 512, _EVERY_THIRD_OFF),
+        ("inactive-between", 12, 2, 16, 64, 512, _EVERY_THIRD_OFF),
+        ("inactive-between", 12, 3, 16, 64, 512, _EVERY_THIRD_OFF),
+    ],
+)
+def test_expert_node_matches_per_expert_loop_bitwise(
+    layout, n_experts, top_k, dim, ffn_dim, n_tokens, bias, x_requires_grad
+):
+    layer = make_layer(n_experts=n_experts, top_k=top_k, dim=dim, ffn_dim=ffn_dim, seed=25)
+    rng = np.random.default_rng(26)
+    x_arr = rng.standard_normal((n_tokens, dim))
+    g = rng.standard_normal((n_tokens, dim))
+    routing = layer.route(constant(x_arr), bias)
+    counts = routing.counts
+    slab_elements = counts * 2 * ffn_dim
+    if layout == "one-group":
+        assert slab_elements.sum() <= _CHUNK
+    elif layout == "many-groups":
+        assert slab_elements.sum() > 8 * _CHUNK
+    elif layout == "expert-over-budget":
+        assert slab_elements[0] > _CHUNK and np.all(slab_elements[1:] < _CHUNK)
+    else:
+        assert np.all((counts == 0) == (bias < 0))
+        assert slab_elements.sum() > _CHUNK
+    x = parameter(x_arr.copy()) if x_requires_grad else constant(x_arr.copy())
+    for p in layer.parameters():
+        p.grad = None
+
+    y = layer.forward(x, routing)
+    (y * constant(g)).sum().backward()
+    out, dx, dw, d_w1, d_w2 = per_expert_reference(
+        layer, x_arr, routing.weights.value, routing.selections, g
+    )
+
+    np.testing.assert_array_equal(y.value, out)
+    if x_requires_grad:
+        np.testing.assert_array_equal(x.grad, dx)
+    else:
+        assert x.grad is None
+    np.testing.assert_array_equal(routing.weights.grad, dw)
+    for e in range(n_experts):
+        if counts[e] == 0:
+            assert layer.w1[e].grad is None and layer.w2[e].grad is None
+        else:
+            np.testing.assert_array_equal(layer.w1[e].grad, d_w1[e])
+            np.testing.assert_array_equal(layer.w2[e].grad, d_w2[e])
 
 
 # -- the fused router and loss nodes ------------------------------------------------------

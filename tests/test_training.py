@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from phibal.autodiff import constant, parameter
+from phibal.autodiff import _CHUNK, constant, parameter
 from phibal.balancer import total_loss
 from phibal.config import with_seed
 from phibal.corpus import CorpusSpec, sample_batch
@@ -17,7 +17,6 @@ from phibal.training import (
     compute_token_budget,
     cross_entropy,
     Optimizer,
-    _CHUNK,
     train,
 )
 
