@@ -7,7 +7,7 @@ top-k expert layer, synthetic multi-domain data, balance metrics, and a
 deterministic trainer plus sweep CLI.
 """
 
-from .autodiff import Node, constant, parameter, stop_gradient
+from .autodiff import Node, constant, parameter
 from .balancer import BalanceConfig, BalancerState, stmoe_aux_loss, total_loss
 from .corpus import CorpusSpec, drift_mixture, sample_batch
 from .metrics import accuracy, gini, max_vio, routed_token_ratio
@@ -36,7 +36,6 @@ __all__ = [
     "Node",
     "constant",
     "parameter",
-    "stop_gradient",
     "BalanceConfig",
     "BalancerState",
     "stmoe_aux_loss",

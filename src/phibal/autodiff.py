@@ -6,14 +6,17 @@ references to its parent nodes, and one vector-Jacobian closure per parent.
 adjoints via the chain rule. The engine is deliberately small: first-order
 gradients only, float64 only, single-threaded per graph.
 
-`stop_gradient` is a first-class primitive: it copies a node's value into a
-fresh constant so no adjoint ever reaches the original subgraph.
+Besides arithmetic, sums and `linear`, each op of a training step (the
+router, a layer's experts, the losses) is one fused node with a hand-written
+VJP, held by the tests to a plain-numpy reference. What must not be
+differentiated, such as the balancing prices, enters as a plain array or a
+`constant`, which receives no adjoint.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -25,12 +28,7 @@ __all__ = [
     "is_checked",
     "constant",
     "parameter",
-    "stop_gradient",
-    "matmul",
     "linear",
-    "transpose",
-    "index_select",
-    "gradients",
 ]
 
 
@@ -94,7 +92,7 @@ class Node:
     Attributes:
         value: forward result, float64 numpy array (scalars have shape ()).
         grad: adjoint accumulated by backward(), or None before any backward.
-        requires_grad: False for constants and everything behind stop_gradient.
+        requires_grad: False for constants and nodes built only from them.
 
     Nodes carry a creation counter; backward replays reachable nodes in
     descending creation order, which is a valid reverse topological order
@@ -193,24 +191,9 @@ class Node:
     def __neg__(self) -> Node:
         return self.scale(-1.0)
 
-    def __matmul__(self, other) -> Node:
-        return matmul(self, _wrap(other))
-
     def scale(self, c: float) -> Node:
         """Multiply by a python scalar (the scalar is never differentiated)."""
         return Node(self.value * c, (self,), (lambda g: g * c,), op="scalar_mul")
-
-    # -- elementwise functions ---------------------------------------------
-
-    def silu(self) -> Node:
-        s = 0.5 * (1.0 + np.tanh(0.5 * self.value))
-        out = self.value * s
-        return Node(
-            out,
-            (self,),
-            (lambda g, x=self.value, s=s: g * (s * (1.0 + x * (1.0 - s))),),
-            op="silu",
-        )
 
     # -- reductions ----------------------------------------------------------
 
@@ -234,10 +217,6 @@ class Node:
             return np.broadcast_to(g / n, shape).copy()
 
         return Node(out, (self,), (vjp,), op="mean")
-
-    @property
-    def T(self) -> Node:
-        return transpose(self)
 
     # -- backward ------------------------------------------------------------
 
@@ -298,34 +277,14 @@ def parameter(data) -> Node:
     return Node(data, requires_grad=True, op="param")
 
 
-def stop_gradient(node: Node) -> Node:
-    """Identical forward value; contributes zero adjoint to everything upstream."""
-    return Node(node.value, requires_grad=False, op="stop_gradient")
-
-
 # -- non-method primitives -----------------------------------------------------
-
-
-def matmul(a: Node, b: Node) -> Node:
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: {a.shape} @ {b.shape}")
-    out = a.value @ b.value
-    return Node(
-        out,
-        (a, b),
-        (
-            lambda g, bv=b.value: g @ bv.T,
-            lambda g, av=a.value: av.T @ g,
-        ),
-        op="matmul",
-    )
 
 
 def linear(x: Node, w: Node) -> Node:
     """x @ w.T as one node, for a (n, d) input and a (m, d) weight.
 
-    The forward multiplies by a contiguous copy of w.T, as `transpose` then
-    `matmul` do: BLAS rounds a transposed view differently.
+    The forward multiplies by a contiguous copy of w.T, as the tests'
+    plain-numpy references do: BLAS rounds a transposed view differently.
     """
     if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[1]:
         raise ShapeError(f"linear: {x.shape} @ {w.shape}.T")
@@ -337,41 +296,3 @@ def linear(x: Node, w: Node) -> Node:
         (lambda g: g @ wt.T, lambda g: (xv.T @ g).T),
         op="linear",
     )
-
-
-def transpose(a: Node) -> Node:
-    if a.ndim != 2:
-        raise ShapeError(f"transpose: need a matrix, got shape {a.shape}")
-    return Node(a.value.T, (a,), (lambda g: g.T,), op="transpose")
-
-
-def index_select(a: Node, indices, axis: int = 0) -> Node:
-    """Gather rows (axis=0) or columns (axis=1). Duplicate indices allowed."""
-    idx = np.asarray(indices, dtype=np.intp)
-    if axis not in (0, 1) or axis >= a.ndim:
-        raise ShapeError(f"index_select: axis {axis} invalid for shape {a.shape}")
-    out = np.take(a.value, idx, axis=axis)
-
-    def vjp(g, shape=a.shape):
-        full = np.zeros(shape, dtype=np.float64)
-        if axis == 0:
-            np.add.at(full, idx, g)
-        else:
-            np.add.at(full, (slice(None), idx), g)
-        return full
-
-    return Node(out, (a,), (vjp,), op="index_select")
-
-
-def gradients(root: Node, leaves: Iterable[Node]) -> dict[Node, np.ndarray]:
-    """Run backward and return {leaf: gradient} for the requested leaves.
-
-    Leaves that the root does not depend on (including anything behind
-    stop_gradient) map to zero arrays.
-    """
-    root.backward()
-    out = {}
-    for leaf in leaves:
-        g = leaf.grad
-        out[leaf] = np.zeros(leaf.shape) if g is None else g
-    return out

@@ -96,11 +96,16 @@ def finite_diff_gradient(
 
 
 def gradient_max_rel_error(analytic: list[np.ndarray], numeric: list[np.ndarray]) -> float:
-    """max over entries of |a - n| / max(1, |a|, |n|)."""
+    """max over entries of |a - n| / max(1, |a|, |n|), or inf if any entry is
+    not finite: a NaN or an inf on either side makes its ratio NaN."""
     worst = 0.0
-    for a, n in zip(analytic, numeric):
-        denom = np.maximum(1.0, np.maximum(np.abs(a), np.abs(n)))
-        worst = max(worst, float(np.max(np.abs(a - n) / denom)))
+    with np.errstate(invalid="ignore"):
+        for a, n in zip(analytic, numeric):
+            denom = np.maximum(1.0, np.maximum(np.abs(a), np.abs(n)))
+            err = float(np.max(np.abs(a - n) / denom))
+            if np.isnan(err):
+                return np.inf
+            worst = max(worst, err)
     return worst
 
 
@@ -344,7 +349,7 @@ def _compare(
     ]
     numeric = finite_diff_gradient(loss_fn, params)
     err = gradient_max_rel_error(analytic, numeric)
-    if err > tol:
+    if not err <= tol:
         failures.append(f"{label}: rel err {err:.2e}")
     return err
 

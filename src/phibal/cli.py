@@ -15,6 +15,7 @@ Setting PHIBAL_DETERMINISTIC=1 forces single-job sweep execution.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -38,10 +39,10 @@ def _seed(text: str) -> int:
     return value
 
 
-def _compute(text: str) -> float:
+def _positive(text: str) -> float:
     value = float(text)
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(f"total compute must be positive, got {text}")
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
     return value
 
 
@@ -62,13 +63,13 @@ def build_parser() -> argparse.ArgumentParser:
     check_p = sub.add_parser("check", help="run the identity and gradient suites")
     check_p.add_argument(
         "--check-tolerance",
-        type=float,
+        type=_positive,
         default=1e-4,
         help="relative tolerance for the gradient suite",
     )
 
     budget_p = sub.add_parser("budget", help="compute-optimal token budget")
-    budget_p.add_argument("compute", type=_compute, nargs="+", help="total training compute")
+    budget_p.add_argument("compute", type=_positive, nargs="+", help="total training compute")
 
     return parser
 

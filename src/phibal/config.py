@@ -150,8 +150,8 @@ def plan_from_dict(raw: dict):
             raise ConfigError(f"sweep {key!r} must be a list, got {type(sweep[key]).__name__}")
     seeds = sweep.get("seeds", [0]) or ()
     for seed in seeds:
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise ConfigError(f"sweep 'seeds' must hold integers, got {seed!r}")
+        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+            raise ConfigError(f"sweep 'seeds' must hold integers >= 0, got {seed!r}")
     return ExperimentPlan(
         base=config_from_dict(raw),
         axis=sweep.get("axis"),

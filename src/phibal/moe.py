@@ -11,8 +11,7 @@ as one more, each with a hand-written backward pass. As in grouped-GEMM MoE
 kernels, the experts dispatch tokens by a single sort and loop per expert
 only for the matrix products; the elementwise gate, the weighting and the
 scatter run once per cache-sized group of experts. The tests hold the node
-bit for bit to a per-expert loop and to the expert composed from autodiff
-primitives.
+bit for bit to a plain-numpy per-expert reference.
 """
 
 from __future__ import annotations
@@ -217,7 +216,7 @@ class MoeLayer:
             for e in group:
                 sl = slice(starts[e] - lo, ends[e] - lo)
                 # Contiguous transposes: BLAS rounds a transposed view
-                # differently, and these bits must match the composed expert.
+                # differently, and these bits must match the reference expert.
                 w1t = np.ascontiguousarray(self.w1[e].value.T)
                 w2t = np.ascontiguousarray(self.w2[e].value.T)
                 np.matmul(u[sl], w1t, out=h[sl])
@@ -245,9 +244,9 @@ class MoeLayer:
         def backward(g: np.ndarray) -> tuple:
             """Every parent's gradient, in parent order, from one pass."""
             if cache.get("g") is not g:
-                # The matmuls mirror the VJPs of the composed expert graph
-                # (matmul, index_select, silu), so the weight gradients keep
-                # its bits; dx is summed back like the forward output.
+                # The matmuls take the forms of the tests' plain-numpy
+                # expert reference, so the weight gradients keep its bits;
+                # dx is summed back like the forward output.
                 dbuf = np.empty((n_tokens * k, dim)) if need_dx else None
                 dw = np.zeros_like(wv)
                 d_w1, d_w2 = [], []

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from phibal.checks import (
     check_duality,
@@ -8,7 +9,7 @@ from phibal.checks import (
     estimation_bias_gaps,
     gradient_max_rel_error,
 )
-from phibal.cli import EXIT_OK, main
+from phibal.cli import EXIT_CONFIG, EXIT_OK, main
 
 
 def test_uniform_minimizer_suite():
@@ -31,6 +32,12 @@ def test_gradient_suite():
     assert res.passed, res.detail
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1"])
+def test_check_rejects_tolerance_that_is_not_finite_and_positive(tolerance, capsys):
+    assert main(["check", "--check-tolerance", tolerance]) == EXIT_CONFIG
+    assert capsys.readouterr().out == ""
+
+
 def test_run_all_reports_every_suite(capsys):
     assert main(["check", "--check-tolerance", "1e-4"]) == EXIT_OK
     lines = capsys.readouterr().out.splitlines()
@@ -43,6 +50,9 @@ def test_gradient_rel_error_helper():
     b = [np.array([1.0 + 1e-6, 1e-9])]
     assert gradient_max_rel_error(a, b) < 1e-5
     assert gradient_max_rel_error(a, [np.array([2.0, 0.0])]) > 0.4
+    # A non-finite entry on either side fails any tolerance.
+    assert gradient_max_rel_error([np.array([np.nan])], [np.array([1.0])]) == np.inf
+    assert gradient_max_rel_error([np.array([1.0])], [np.array([np.inf])]) == np.inf
 
 
 def test_estimation_bias_structure():

@@ -133,7 +133,7 @@ def test_plan_rejects_values_and_seeds_that_are_not_lists(tmp_path, key, value):
     assert not (tmp_path / "s").exists()
 
 
-@pytest.mark.parametrize("seed", [[1], "a", 1.5, True])
+@pytest.mark.parametrize("seed", [[1], "a", 1.5, True, -1])
 def test_plan_rejects_seeds_that_are_not_integers(tmp_path, seed):
     path = Path(write_tiny_plan(tmp_path))
     raw = yaml.safe_load(path.read_text())
@@ -397,7 +397,8 @@ def test_cli_rejects_negative_seeds_and_nonpositive_compute(tmp_path):
         bad = tmp_path / f"negative_{section}_seed.yaml"
         bad.write_text(yaml.safe_dump({**raw, section: {**raw.get(section, {}), "seed": -1}}))
         assert main(["run", "--config", str(bad)]) == EXIT_CONFIG
-    assert main(["budget", "0"]) == EXIT_CONFIG
+    for compute in ("0", "-1", "nan", "inf"):
+        assert main(["budget", compute]) == EXIT_CONFIG
 
 
 def test_cli_run_rejects_plan(tmp_path):
