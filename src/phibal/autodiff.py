@@ -6,11 +6,12 @@ references to its parent nodes, and one vector-Jacobian closure per parent.
 adjoints via the chain rule. The engine is deliberately small: first-order
 gradients only, float64 only, single-threaded per graph.
 
-Besides arithmetic, sums and `linear`, each op of a training step (the
-router, a layer's experts, the losses) is one fused node with a hand-written
-VJP, held by the tests to a plain-numpy reference. What must not be
-differentiated, such as the balancing prices, enters as a plain array or a
-`constant`, which receives no adjoint.
+There is no generic arithmetic. Besides `linear` and `weighted_sum`, the
+one reduction (<x, c> with c constant), each op of a training step (the
+router, a layer's experts with its residual, the losses) is one fused node
+with a hand-written VJP, held by the tests to a plain-numpy reference. What
+must not be differentiated, such as the balancing prices, enters as a plain
+array or a `constant`, which receives no adjoint.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ __all__ = [
     "constant",
     "parameter",
     "linear",
+    "weighted_sum",
 ]
 
 
@@ -68,19 +70,6 @@ def _as_array(data) -> np.ndarray:
 def _guard(value: np.ndarray, op: str) -> None:
     if _CHECKED and not np.all(np.isfinite(value)):
         raise NonFiniteError(f"{op} produced a non-finite value")
-
-
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Reduce a broadcast gradient back to the original operand shape."""
-    if grad.shape == shape:
-        return grad
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad
 
 
 _UID = itertools.count()
@@ -138,88 +127,6 @@ class Node:
     def __repr__(self) -> str:
         return f"Node(op={self.op}, shape={self.shape})"
 
-    # -- arithmetic ---------------------------------------------------------
-
-    def __add__(self, other) -> Node:
-        other = _wrap(other)
-        out = self.value + other.value
-        return Node(
-            out,
-            (self, other),
-            (
-                lambda g, s=self.shape: _unbroadcast(g, s),
-                lambda g, s=other.shape: _unbroadcast(g, s),
-            ),
-            op="add",
-        )
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> Node:
-        other = _wrap(other)
-        out = self.value - other.value
-        return Node(
-            out,
-            (self, other),
-            (
-                lambda g, s=self.shape: _unbroadcast(g, s),
-                lambda g, s=other.shape: _unbroadcast(-g, s),
-            ),
-            op="sub",
-        )
-
-    def __rsub__(self, other) -> Node:
-        return _wrap(other) - self
-
-    def __mul__(self, other) -> Node:
-        if isinstance(other, (int, float)):
-            return self.scale(float(other))
-        other = _wrap(other)
-        out = self.value * other.value
-        return Node(
-            out,
-            (self, other),
-            (
-                lambda g, o=other.value, s=self.shape: _unbroadcast(g * o, s),
-                lambda g, o=self.value, s=other.shape: _unbroadcast(g * o, s),
-            ),
-            op="mul",
-        )
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> Node:
-        return self.scale(-1.0)
-
-    def scale(self, c: float) -> Node:
-        """Multiply by a python scalar (the scalar is never differentiated)."""
-        return Node(self.value * c, (self,), (lambda g: g * c,), op="scalar_mul")
-
-    # -- reductions ----------------------------------------------------------
-
-    def sum(self, axis: int | None = None, keepdims: bool = False) -> Node:
-        out = self.value.sum(axis=axis, keepdims=keepdims)
-
-        def vjp(g, shape=self.shape):
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            return np.broadcast_to(g, shape).copy()
-
-        return Node(out, (self,), (vjp,), op="sum")
-
-    def mean(self, axis: int | None = None, keepdims: bool = False) -> Node:
-        n = self.value.size if axis is None else self.value.shape[axis]
-        out = self.value.mean(axis=axis, keepdims=keepdims)
-
-        def vjp(g, shape=self.shape, n=n):
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            return np.broadcast_to(g / n, shape).copy()
-
-        return Node(out, (self,), (vjp,), op="mean")
-
-    # -- backward ------------------------------------------------------------
-
     def backward(self) -> None:
         """Accumulate adjoints into `.grad` for every reachable grad node.
 
@@ -260,10 +167,6 @@ def _reachable(root: Node) -> list[Node]:
     return out
 
 
-def _wrap(x) -> Node:
-    return x if isinstance(x, Node) else Node(x, requires_grad=False, op="const")
-
-
 # -- constructors -------------------------------------------------------------
 
 
@@ -277,7 +180,7 @@ def parameter(data) -> Node:
     return Node(data, requires_grad=True, op="param")
 
 
-# -- non-method primitives -----------------------------------------------------
+# -- primitives ---------------------------------------------------------------
 
 
 def linear(x: Node, w: Node) -> Node:
@@ -296,3 +199,8 @@ def linear(x: Node, w: Node) -> Node:
         (lambda g: g @ wt.T, lambda g: (xv.T @ g).T),
         op="linear",
     )
+
+
+def weighted_sum(x: Node, c: np.ndarray) -> Node:
+    """<x, c> with c held constant, as one scalar node; x's adjoint is g * c."""
+    return Node((x.value * c).sum(), (x,), (lambda g: g * c,), op="weighted_sum")

@@ -19,12 +19,13 @@ loss coefficient alpha is applied by `total_loss`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import potentials
-from .autodiff import Node
+from .autodiff import Node, weighted_sum
 from .potentials import PotentialSpec
 
 __all__ = [
@@ -63,8 +64,11 @@ class BalanceConfig:
     bias_step: float = 1e-3
 
     def __post_init__(self) -> None:
-        if self.alpha < 0.0:
+        # Negated positive tests, so that NaN fails them too.
+        if not self.alpha >= 0.0:
             raise ValueError(f"alpha must be nonnegative, got {self.alpha}")
+        if not 0.0 <= self.bias_step < math.inf:
+            raise ValueError(f"bias_step must be finite and nonnegative, got {self.bias_step}")
         self.potential()  # a bad token fails here, whatever the mechanism
         if not 0.0 < self.eta <= 1.0:
             raise ValueError(f"eta must lie in (0, 1], got {self.eta}")
@@ -129,7 +133,7 @@ class BalancerState:
         Call after ema_update for the same batch: prices come from the
         already-updated EMA.
         """
-        return _weighted_sum(p_bar, self.price_vector())
+        return weighted_sum(p_bar, self.price_vector())
 
     def aux_loss(self, p_bar: Node, f: np.ndarray) -> Node | None:
         """The mechanism's auxiliary loss for one batch, or None if it has none."""
@@ -164,12 +168,7 @@ def stmoe_aux_loss(f: np.ndarray, p_bar: Node) -> Node:
     f = np.asarray(f, dtype=np.float64)
     if f.shape != p_bar.shape:
         raise ValueError(f"frequency shape {f.shape} != probability shape {p_bar.shape}")
-    return _weighted_sum(p_bar, f)
-
-
-def _weighted_sum(p_bar: Node, c: np.ndarray) -> Node:
-    """<p_bar, c> with c held constant, as one graph node."""
-    return Node((p_bar.value * c).sum(), (p_bar,), (lambda g: g * c,), op="weighted_sum")
+    return weighted_sum(p_bar, f)
 
 
 def total_loss(task: Node, aux_losses: list[Node], alpha: float, n_experts: int) -> Node:

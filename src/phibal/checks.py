@@ -280,9 +280,12 @@ def check_gradients(tol: float = GRAD_TOL, instances: int = 5, seed: int = 0) ->
         worst = max(worst, _compare(task_loss, params, failures, "task", tol))
 
         # Frequency/probability dot-product loss; frequencies are constants.
+        # Per-layer losses are summed by `total_loss` at weight 1.0 * 1,
+        # which adds them exactly, as x * 1.0 == x.
         def freq_loss() -> Node:
             _, routings = forward()
-            return _sum_losses([stmoe_aux_loss(r.f, r.p_bar) for r in routings])
+            aux = [stmoe_aux_loss(r.f, r.p_bar) for r in routings]
+            return total_loss(aux[0], aux[1:], 1.0, 1)
 
         worst = max(worst, _compare(freq_loss, routers, failures, "st_moe", tol))
 
@@ -296,9 +299,8 @@ def check_gradients(tol: float = GRAD_TOL, instances: int = 5, seed: int = 0) ->
 
             def phi_loss(balancers=balancers) -> Node:
                 _, routings = forward()
-                return _sum_losses(
-                    [b.phi_aux_loss(r.p_bar) for b, r in zip(balancers, routings)]
-                )
+                aux = [b.phi_aux_loss(r.p_bar) for b, r in zip(balancers, routings)]
+                return total_loss(aux[0], aux[1:], 1.0, 1)
 
             worst = max(
                 worst, _compare(phi_loss, routers, failures, spec.token(), tol)
@@ -324,13 +326,6 @@ def check_gradients(tol: float = GRAD_TOL, instances: int = 5, seed: int = 0) ->
 
     detail = f"worst rel err {worst:.2e}" if not failures else "; ".join(failures[:3])
     return CheckResult("gradients", not failures, detail, time.perf_counter() - started)
-
-
-def _sum_losses(losses: list[Node]) -> Node:
-    out = losses[0]
-    for term in losses[1:]:
-        out = out + term
-    return out
 
 
 def _compare(

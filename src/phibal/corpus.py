@@ -49,7 +49,7 @@ class CorpusSpec:
     def __post_init__(self) -> None:
         if self.n_domains < 2:
             raise ValueError(f"need at least 2 domains, got {self.n_domains}")
-        if self.cluster_scale < 0.0:
+        if not self.cluster_scale >= 0.0:  # negated, so that NaN fails it too
             raise ValueError(f"cluster_scale must be nonnegative, got {self.cluster_scale}")
         if self.label_rule not in LABEL_RULES:
             raise ValueError(f"unknown label rule {self.label_rule!r}")
@@ -89,8 +89,9 @@ class CorpusSpec:
 def _check_simplex(w: np.ndarray, n: int, name: str) -> None:
     if w.shape != (n,):
         raise ValueError(f"{name} must have length {n}, got shape {w.shape}")
-    if np.any(w < 0.0) or abs(float(w.sum()) - 1.0) > 1e-9:
-        raise ValueError(f"{name} must be nonnegative and sum to 1, got {w.tolist()}")
+    # Negated positive tests: NaN and infinite weights fail them.
+    if not (np.all(w >= 0.0) and abs(float(w.sum()) - 1.0) <= 1e-9):
+        raise ValueError(f"{name} must be finite, nonnegative and sum to 1, got {w.tolist()}")
 
 
 def domain_centers(spec: CorpusSpec) -> np.ndarray:

@@ -7,7 +7,8 @@ experts are never evaluated.
 
 `MoeLayer.route` builds three graph nodes (router logits, mean probabilities
 and combination weights) and `MoeLayer.forward` runs all of a layer's experts
-as one more, each with a hand-written backward pass. As in grouped-GEMM MoE
+and adds the residual input as one more, each with a hand-written backward
+pass. As in grouped-GEMM MoE
 kernels, the experts dispatch tokens by a single sort and loop per expert
 only for the matrix products; the elementwise gate, the weighting and the
 scatter run once per cache-sized group of experts. The tests hold the node
@@ -173,7 +174,9 @@ class MoeLayer:
     # -- experts -------------------------------------------------------------
 
     def forward(self, x: Node, routing: RoutingBatch) -> Node:
-        """Router-weighted sum of the selected experts, as one graph node.
+        """x plus the router-weighted sum of the selected experts, as one
+        graph node: the layer's residual add is part of it, so x's adjoint
+        is the output's adjoint plus what flows back through the experts.
 
         The (token, expert) pairs are sorted once by expert, so each active
         expert's rows form one token-ascending slab. Consecutive active
@@ -182,8 +185,8 @@ class MoeLayer:
         own. Only the GEMMs run per expert; the gather, the gate, the
         weighting and the scatter to (token, slot) positions run once per
         group. Each token then sums its k terms from 0.0 in slot order,
-        which is ascending expert order, so the output keeps the bits of a
-        dense masked combination. Parents are x, the routing weights and
+        which is ascending expert order, so the sum keeps the bits of a
+        dense masked combination; x is added to it last. Parents are x, the routing weights and
         the active experts' w1/w2 only, so experts with no tokens receive no
         gradient; one hand-written backward pass, run once however many
         parents ask for it, serves every parent.
@@ -230,7 +233,7 @@ class MoeLayer:
                 np.matmul(act[sl], w2t, out=y[sl])
             buf[order[lo:hi]] = pair_w[lo:hi] * y
             saved.append((lo, hi, spans, a, b, s, silu, act, y))
-        out = _sum_slots(buf, n_tokens)
+        out = xv + _sum_slots(buf, n_tokens)
 
         parents = (
             x,
@@ -246,7 +249,8 @@ class MoeLayer:
             if cache.get("g") is not g:
                 # The matmuls take the forms of the tests' plain-numpy
                 # expert reference, so the weight gradients keep its bits;
-                # dx is summed back like the forward output.
+                # dx is summed back like the forward output, then added
+                # to g, the residual's share.
                 dbuf = np.empty((n_tokens * k, dim)) if need_dx else None
                 dw = np.zeros_like(wv)
                 d_w1, d_w2 = [], []
@@ -270,7 +274,7 @@ class MoeLayer:
                             np.matmul(dh[sl], w1t.T, out=du[sl])
                     if need_dx:
                         dbuf[order[lo:hi]] = du
-                dx = _sum_slots(dbuf, n_tokens) if need_dx else None
+                dx = g + _sum_slots(dbuf, n_tokens) if need_dx else None
                 cache.update(g=g, grads=(dx, dw, *d_w1, *d_w2))
             return cache["grads"]
 

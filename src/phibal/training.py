@@ -2,10 +2,13 @@
 
 Each step samples a batch, runs the residual expert stack, updates every
 layer's usage EMA, adds the mechanism's auxiliary losses scaled by
-alpha * E, backpropagates, and applies the optimizer. Runs are fully
-deterministic under a fixed config and can be snapshotted and resumed
-bit-exactly. A snapshot holds state only; the config passed to
-`Trainer.restore` supplies every hyperparameter.
+alpha * E, backpropagates, and applies the optimizer. The graph holds only
+fused nodes: per layer the router's three and one for the experts with the
+residual add, then the head, the task loss, one `weighted_sum` per
+auxiliary loss and their total. Runs are fully deterministic under a fixed
+config and can be snapshotted and resumed bit-exactly. A snapshot holds
+state only; the config passed to `Trainer.restore` supplies every
+hyperparameter.
 """
 
 from __future__ import annotations
@@ -84,7 +87,7 @@ class OptimizerConfig:
     def __post_init__(self) -> None:
         if self.kind not in ("sgd", "adamw"):
             raise ValueError(f"unknown optimizer {self.kind!r}")
-        if self.lr <= 0.0:
+        if not self.lr > 0.0:  # negated, so that NaN fails it too
             raise ValueError("learning rate must be positive")
         for name, beta in (("beta1", self.beta1), ("beta2", self.beta2)):
             if not 0.0 <= beta < 1.0:
@@ -260,6 +263,9 @@ class Optimizer:
 class MoeStack:
     """Residual stack of sparse layers with a linear task head.
 
+    Each layer's expert node adds its own input, so a layer is one node
+    after routing and the stack needs no arithmetic between layers.
+
     For domain classification the head has one output per domain and the
     loss is mean cross-entropy over tokens; for the linear-teacher rule it
     is a single regression output under squared error.
@@ -288,7 +294,7 @@ class MoeStack:
         for layer, bias in zip(self.layers, biases):
             routing = layer.route(h, bias)
             routings.append(routing)
-            h = h + layer.forward(h, routing)
+            h = layer.forward(h, routing)
         return linear(h, self.head), routings
 
 
@@ -319,8 +325,19 @@ def cross_entropy(logits: Node, labels: np.ndarray) -> Node:
 
 
 def squared_error(pred: Node, targets: np.ndarray) -> Node:
-    diff = pred - constant(targets.reshape(pred.shape))
-    return (diff * diff).mean()
+    """Mean squared error of pred against targets, as one graph node.
+
+    Forward and VJP keep the op order of the chain d = pred - targets,
+    (d * d).mean(): each factor of the square passes back
+    broadcast(g / n) * d, and pred's adjoint is the sum of the two.
+    """
+    d = pred.value - targets.reshape(pred.shape)
+
+    def vjp(g):
+        half = np.broadcast_to(g / d.size, d.shape) * d
+        return half + half
+
+    return Node((d * d).mean(), (pred,), (vjp,), op="squared_error")
 
 
 # -- run records ---------------------------------------------------------------------

@@ -11,7 +11,7 @@ import yaml
 
 from conftest import SEEDS
 
-from phibal.autodiff import constant
+from phibal.autodiff import Node
 from phibal.balancer import total_loss
 from phibal.checks import (
     check_duality,
@@ -80,8 +80,12 @@ def test_05_stop_gradient_system_check():
     frozen = Trainer(cfg)
     logits2, routings2 = frozen.model.forward(x, [None, None])
     task2 = cross_entropy(logits2, labels)
+    # Built here in the op order of (p_bar * w).sum(), not through the
+    # production node: p_bar's adjoint is the root's, broadcast, times w.
     aux2 = [
-        (r.p_bar * constant(w)).sum() for r, w in zip(routings2, frozen_prices)
+        Node((r.p_bar.value * w).sum(), (r.p_bar,),
+             (lambda g, w=w: np.broadcast_to(g, w.shape).copy() * w,))
+        for r, w in zip(routings2, frozen_prices)
     ]
     loss2 = total_loss(task2, aux2, cfg.balance.alpha, cfg.model.experts)
     for p in frozen.params:

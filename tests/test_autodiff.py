@@ -11,7 +11,9 @@ from phibal.autodiff import (
     linear,
     parameter,
     set_checked,
+    weighted_sum,
 )
+from phibal.balancer import total_loss
 from phibal.checks import build_gradcheck_instance, finite_diff_gradient, gradient_max_rel_error
 from phibal.training import cross_entropy
 
@@ -21,22 +23,25 @@ def softmax_rows(a: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def product(a: Node, b: Node) -> Node:
+    """a * b for nodes of one shape, with the product rule's VJPs: a test-local
+    reference, built apart from the engine's fused nodes."""
+    return Node(a.value * b.value, (a, b), (lambda g: g * b.value, lambda g: g * a.value))
+
+
+def total(y: Node) -> Node:
+    """The sum of y's entries; y's adjoint is the root's, broadcast."""
+    return Node(y.value.sum(), (y,), (lambda g: np.broadcast_to(g, y.shape).copy(),))
+
+
 def test_primitive_identities():
     # Equal logits: softmax is uniform, so the cross-entropy is log 2.
     assert float(cross_entropy(constant([[0.0, 0.0]]), np.array([0])).value) == pytest.approx(
         math.log(2.0)
     )
     np.testing.assert_allclose(softmax_rows(np.zeros((1, 2))), [[0.5, 0.5]])
-    zero = constant(0.0)
-    assert float((zero * zero).value) == 0.0
     x = np.arange(6.0).reshape(2, 3)
     np.testing.assert_array_equal(linear(constant(x), constant(np.eye(3))).value, x)
-
-
-def test_square_gradient():
-    x = parameter(np.array(3.0))
-    (x * x).backward()
-    assert x.grad == pytest.approx(6.0)
 
 
 def test_softmax_cross_entropy_gradient_is_probs_minus_onehot():
@@ -52,13 +57,14 @@ def test_softmax_cross_entropy_gradient_is_probs_minus_onehot():
 
 
 def test_first_adjoint_is_copied_not_shared():
-    # add's VJPs return the child's own adjoint array; keeping it as the
-    # parent's gradient would let the second contribution alias the child.
-    x = parameter(np.ones(3))
-    z = x + x
-    z.sum().backward()
-    np.testing.assert_array_equal(z.grad, np.ones(3))
-    np.testing.assert_array_equal(x.grad, np.full(3, 2.0))
+    # total_loss's task VJP returns the child's own adjoint array; keeping it
+    # as the parent's gradient would let the second contribution alias the
+    # child.
+    x = parameter(np.ones(()))
+    z = total_loss(x, [x], 1.0, 1)
+    z.backward()
+    np.testing.assert_array_equal(z.grad, np.ones(()))
+    np.testing.assert_array_equal(x.grad, np.full((), 2.0))
 
 
 def test_linear_matches_transpose_then_matmul_bitwise():
@@ -68,7 +74,7 @@ def test_linear_matches_transpose_then_matmul_bitwise():
     g = rng.standard_normal((7, 4))
     x, w = parameter(x_arr), parameter(w_arr)
     y = linear(x, w)
-    (y * constant(g)).sum().backward()
+    weighted_sum(y, g).backward()
     wt = np.ascontiguousarray(w_arr.T)
     reference = (x_arr @ wt, g @ wt.T, (x_arr.T @ g).T)
     for a, b in zip((y.value, x.grad, w.grad), reference):
@@ -78,9 +84,8 @@ def test_linear_matches_transpose_then_matmul_bitwise():
 
 
 def test_backward_requires_scalar_root():
-    x = parameter(np.ones(3))
     with pytest.raises(ShapeError, match="scalar"):
-        (x * x).backward()
+        parameter(np.ones(3)).backward()
 
 
 def test_aux_with_frozen_weights_differs_from_unfrozen():
@@ -90,12 +95,12 @@ def test_aux_with_frozen_weights_differs_from_unfrozen():
     logits = parameter(rng.standard_normal((1, 3)))
 
     def frozen():
-        p = logits * logits
-        return (p * constant(p.value)).sum()
+        p = product(logits, logits)
+        return total(product(p, constant(p.value)))
 
     def unfrozen():
-        p = logits * logits
-        return (p * p).sum()
+        p = product(logits, logits)
+        return total(product(p, p))
 
     frozen().backward()
     g_frozen = logits.grad.copy()
@@ -142,7 +147,7 @@ def test_checked_mode_rejects_non_finite():
         with pytest.raises(NonFiniteError):
             Node([np.nan, 1.0])
         with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
-            constant(1e300).scale(1e300)
+            linear(constant([[1e300]]), constant([[1e300]]))
     finally:
         set_checked(False)
     # Unchecked mode lets the value through.

@@ -88,8 +88,22 @@ def test_eta_and_alpha_ranges_enforced():
         {"mechanism": "bogus"},
         {"statistic": "x"},
         {"mechanism": "phi", "phi": None},
+        {"alpha": math.nan},
+        {"mechanism": "loss_free", "bias_step": math.nan},
+        {"mechanism": "loss_free", "bias_step": math.inf},
+        {"mechanism": "loss_free", "bias_step": -1e-3},
     ],
-    ids=["eta=0", "eta=1.5", "mechanism", "statistic", "phi_missing"],
+    ids=[
+        "eta=0",
+        "eta=1.5",
+        "mechanism",
+        "statistic",
+        "phi_missing",
+        "alpha=nan",
+        "bias_step=nan",
+        "bias_step=inf",
+        "bias_step<0",
+    ],
 )
 def test_balance_config_rejects_bad_knobs_when_built(knobs):
     with pytest.raises(ValueError):

@@ -42,6 +42,16 @@ def test_mixture_must_be_simplex():
         CorpusSpec(n_domains=2, dim=4, mixture=(0.5, 0.3, 0.2))
 
 
+@pytest.mark.parametrize(
+    "knobs",
+    [{"cluster_scale": np.nan}, {"mixture": (np.nan, 1.0)}],
+    ids=["cluster_scale=nan", "mixture_nan"],
+)
+def test_spec_rejects_nan_knobs(knobs):
+    with pytest.raises(ValueError):
+        CorpusSpec(n_domains=2, dim=4, **knobs)
+
+
 def test_long_run_frequencies_converge():
     spec = CorpusSpec(n_domains=4, dim=4, mixture=(0.4, 0.3, 0.2, 0.1), seed=2)
     total = np.zeros(4)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from phibal.autodiff import _CHUNK, constant, linear, parameter
+from phibal.autodiff import _CHUNK, constant, linear, parameter, weighted_sum
 from phibal.balancer import BalanceConfig, BalancerState, total_loss
 from phibal.checks import finite_diff_gradient, gradient_max_rel_error
 from phibal.moe import MoeLayer
@@ -143,7 +143,7 @@ def test_single_expert_single_k_is_scaled_dense_ffn():
     np.testing.assert_allclose(routing.weights.value, np.ones((6, 1)))
     y = layer.forward(x, routing)
     expected, _ = expert_forward(layer, 0, x.value)
-    np.testing.assert_array_equal(y.value, expected)
+    np.testing.assert_array_equal(y.value, x.value + expected)
 
 
 def test_identical_experts_make_weights_irrelevant():
@@ -154,7 +154,7 @@ def test_identical_experts_make_weights_irrelevant():
     routing = layer.route(x)
     y = layer.forward(x, routing)
     expected, _ = expert_forward(layer, 0, x.value)
-    np.testing.assert_allclose(y.value, expected, atol=1e-12)
+    np.testing.assert_allclose(y.value, x.value + expected, atol=1e-12)
 
 
 def test_sparse_equals_masked_dense_bitwise():
@@ -167,7 +167,7 @@ def test_sparse_equals_masked_dense_bitwise():
         dense = np.zeros((9, 5))
         for e in range(4):
             dense += routing.weights.value[:, [e]] * expert_forward(layer, e, x.value)[0]
-        np.testing.assert_array_equal(y.value, dense)
+        np.testing.assert_array_equal(y.value, x.value + dense)
 
 
 def test_permutation_equivariance():
@@ -199,7 +199,7 @@ def test_unselected_experts_receive_no_gradient():
         layer, [[5.0, 0.0, 0.0, 0.0], [5.0, 0.0, 0.0, 0.0]]
     )
     y = layer.forward(constant(x), routing)
-    (y * y).sum().backward()
+    weighted_sum(y, np.random.default_rng(17).standard_normal(y.shape)).backward()
     assert layer.w1[0].grad is not None
     for e in (1, 2, 3):
         assert layer.w1[e].grad is None
@@ -217,10 +217,10 @@ def test_fused_forward_gradient_matches_finite_differences(top_k):
     ordered = np.sort(layer.route(x).probs, axis=1)
     assert np.min(ordered[:, -top_k] - ordered[:, -top_k - 1]) > 1e-3  # no selection flips
     params = [x, layer.w_router, *layer.w1, *layer.w2]
+    g = np.random.default_rng(19).standard_normal(x_arr.shape)
 
     def loss():
-        y = layer.forward(x, layer.route(x))
-        return (y * y).sum()
+        return weighted_sum(layer.forward(x, layer.route(x)), g)
 
     root = loss()
     for p in params:
@@ -248,8 +248,9 @@ def per_expert_reference(layer, xv, wv, selections, g):
     """The expert node as a plain-numpy loop over active experts, with its
     adjoint g: each expert's token-ascending rows run through
     `expert_forward` and are added into the output in ascending expert
-    order. Returns the output and the gradients of x, the weights and each
-    active expert's w1 and w2."""
+    order, and x is added last (the residual). Returns the output and the
+    gradients of x (g, the residual's share, plus the experts'), the
+    weights and each active expert's w1 and w2."""
     ffn = layer.ffn_dim
     out, dx, dw = np.zeros_like(xv), np.zeros_like(xv), np.zeros_like(wv)
     d_w1, d_w2 = {}, {}
@@ -270,7 +271,7 @@ def per_expert_reference(layer, xv, wv, selections, g):
         dh[:, ffn:] = d_act * silu
         d_w1[e] = (u.T @ dh).T
         dx[rows] += dh @ w1t.T
-    return out, dx, dw, d_w1, d_w2
+    return xv + out, g + dx, dw, d_w1, d_w2
 
 
 _EVERY_THIRD_OFF = np.where(np.arange(12) % 3 == 1, -1e3, 0.0)
@@ -312,7 +313,7 @@ def test_expert_node_matches_per_expert_loop_bitwise(
         p.grad = None
 
     y = layer.forward(x, routing)
-    (y * constant(g)).sum().backward()
+    weighted_sum(y, g).backward()
     out, dx, dw, d_w1, d_w2 = per_expert_reference(
         layer, x_arr, routing.weights.value, routing.selections, g
     )

@@ -1,10 +1,13 @@
 import json
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from phibal.autodiff import _CHUNK, constant, parameter
 from phibal.balancer import total_loss
+from phibal.checks import finite_diff_gradient, gradient_max_rel_error
 from phibal.config import with_seed
 from phibal.corpus import CorpusSpec, sample_batch
 from phibal.training import (
@@ -17,6 +20,7 @@ from phibal.training import (
     compute_token_budget,
     cross_entropy,
     Optimizer,
+    squared_error,
     train,
 )
 
@@ -66,6 +70,11 @@ def test_load_window_must_be_positive():
 def test_adam_betas_must_lie_in_unit_interval(name, value):
     with pytest.raises(ValueError, match=name):
         OptimizerConfig(**{name: value})
+
+
+def test_nan_learning_rate_rejected():
+    with pytest.raises(ValueError, match="learning rate"):
+        OptimizerConfig(lr=math.nan)
 
 
 # -- optimizers ------------------------------------------------------------------------
@@ -215,15 +224,66 @@ def test_record_steps_strictly_increase():
     assert len(set(steps)) * layer_count == len(steps)
 
 
-def test_acceptance_step_builds_at_most_16_nodes():
-    # Per step: the input, per layer the router logits, p_bar, weights,
-    # experts and residual add, then the head, cross-entropy, one price
-    # loss per layer and their total.
-    trainer = Trainer(TrainConfig())
+@pytest.mark.parametrize("label_rule", ["domain_id", "linear_teacher"])
+def test_acceptance_step_builds_14_nodes(label_rule):
+    # Per step: the input, per layer the router logits, p_bar, weights and
+    # the experts (residual included), then the head, the task loss
+    # (cross-entropy or squared error), one price loss per layer and their
+    # total.
+    corpus = CorpusSpec(n_domains=4, dim=16, label_rule=label_rule)
+    trainer = Trainer(TrainConfig(corpus=corpus))
     trainer.step()
     before = constant(0.0).uid
     trainer.step()
-    assert constant(0.0).uid - before - 1 <= 16
+    assert constant(0.0).uid - before - 1 == 14
+
+
+_PIN_BASE = TrainConfig(steps=300)
+
+
+@pytest.mark.parametrize(
+    "config,digest",
+    [
+        (_PIN_BASE, "842ce7a59da1"),
+        (replace(_PIN_BASE, balance=BalanceConfig(mechanism="loss_free")), "46e4ab8c6068"),
+        (replace(_PIN_BASE, balance=BalanceConfig(mechanism="st_moe")), "1ee0b5d1cb88"),
+        (replace(_PIN_BASE, model=ModelConfig(top_k=1)), "dec3103ef10f"),
+        (replace(_PIN_BASE, model=ModelConfig(top_k=3)), "cdb43a5da1a7"),
+        (
+            replace(_PIN_BASE, corpus=CorpusSpec(n_domains=4, dim=16, label_rule="linear_teacher")),
+            "4fe1a96a37b2",
+        ),
+    ],
+    ids=["default", "loss_free", "st_moe", "top_k=1", "top_k=3", "linear_teacher"],
+)
+def test_run_digest_pins(config, digest):
+    """300-step runs keep their exact bits: the first 12 hex digits of
+    `RunRecord.digest()`. The pins were measured with numpy 2.4.6 on
+    OpenBLAS 0.3.31 (x86-64 Linux); another numpy build or BLAS may round
+    the matrix products differently and move them."""
+    assert train(config).digest()[:12] == digest
+
+
+def test_squared_error_matches_numpy_chain_bitwise():
+    # The reference is the chain d = pred - targets, (d * d).mean() in plain
+    # numpy: the mean passes broadcast(g / n) back, each factor of the square
+    # multiplies it by d, and the second product is added to a copy of the
+    # first.
+    rng = np.random.default_rng(31)
+    pred_arr = rng.standard_normal((9, 1))
+    targets = rng.standard_normal(9)
+    pred = parameter(pred_arr.copy())
+    loss = squared_error(pred, targets)
+    loss.backward()
+
+    d = pred_arr - targets.reshape(9, 1)
+    g_mean = np.broadcast_to(np.ones(()) / d.size, d.shape).copy()
+    d_pred = np.array(g_mean * d)
+    d_pred += g_mean * d
+    np.testing.assert_array_equal(loss.value, (d * d).mean())
+    np.testing.assert_array_equal(pred.grad, d_pred)
+    numeric = finite_diff_gradient(lambda: squared_error(pred, targets), [pred])
+    assert gradient_max_rel_error([pred.grad], numeric) < 1e-8
 
 
 def test_alpha_zero_total_gradients_match_pure_task_bitwise():
