@@ -45,8 +45,8 @@ class NonFiniteError(FloatingPointError):
 _CHECKED = False
 
 # Most float64 elements in one cache-sized block of work: an optimizer chunk
-# (its arena, moment and scratch slices) or a group of the expert node's
-# slabs then stays in cache while it is worked on.
+# (its arena, gradient and moment slices and two temporaries) or a group of
+# the expert node's slabs then stays in cache while it is worked on.
 _CHUNK = 1 << 15
 
 
@@ -81,6 +81,7 @@ class Node:
     Attributes:
         value: forward result, float64 numpy array (scalars have shape ()).
         grad: adjoint accumulated by backward(), or None before any backward.
+        out: where backward writes a leaf's first adjoint, if an optimizer set it.
         requires_grad: False for constants and nodes built only from them.
 
     Nodes carry a creation counter; backward replays reachable nodes in
@@ -90,7 +91,7 @@ class Node:
     order, and therefore bit patterns, independent of unrelated graph parts.
     """
 
-    __slots__ = ("value", "grad", "op", "requires_grad", "uid", "_parents", "_vjps")
+    __slots__ = ("value", "grad", "out", "op", "requires_grad", "uid", "_parents", "_vjps")
 
     def __init__(
         self,
@@ -103,6 +104,7 @@ class Node:
         self.value = _as_array(value)
         _guard(self.value, op)
         self.grad: np.ndarray | None = None
+        self.out: np.ndarray | None = None
         self.op = op
         self.uid = next(_UID)
         # Parents that cannot receive gradients are dropped so backward never
@@ -132,7 +134,8 @@ class Node:
 
         The root must be a scalar; traversal is in descending creation order
         over the reachable subgraph. A parent's first contribution is copied
-        in (a VJP may return the child's own adjoint), later ones are added.
+        in, to its `out` if set (a VJP may return the child's own adjoint, or
+        the `out` it wrote itself), later ones are added.
         """
         if self.value.size != 1:
             raise ShapeError(
@@ -147,10 +150,14 @@ class Node:
                 continue
             for parent, vjp in zip(node._parents, node._vjps):
                 contrib = vjp(g)
-                if parent.grad is None:
+                if parent.grad is not None:
+                    parent.grad += contrib
+                elif parent.out is None:
                     parent.grad = np.array(contrib, dtype=np.float64)
                 else:
-                    parent.grad += contrib
+                    if contrib is not parent.out:
+                        parent.out[...] = contrib
+                    parent.grad = parent.out
 
 
 def _reachable(root: Node) -> list[Node]:
@@ -186,8 +193,9 @@ def parameter(data) -> Node:
 def linear(x: Node, w: Node) -> Node:
     """x @ w.T as one node, for a (n, d) input and a (m, d) weight.
 
-    The forward multiplies by a contiguous copy of w.T, as the tests'
-    plain-numpy references do: BLAS rounds a transposed view differently.
+    The forward multiplies by a C-contiguous w.T, as the tests' plain-numpy
+    references do (BLAS rounds a transposed view differently): the arena
+    itself for a weight in an optimizer, a copy of any other weight.
     """
     if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[1]:
         raise ShapeError(f"linear: {x.shape} @ {w.shape}.T")

@@ -80,9 +80,9 @@ def finite_diff_gradient(
     """
     grads = []
     for p in params:
-        g = np.zeros(p.shape)
-        flat_value = p.value.ravel()
-        flat_grad = g.ravel()
+        g = np.zeros_like(p.value)  # in p's layout, so both ravel to views
+        flat_value = p.value.ravel(order="K")
+        flat_grad = g.ravel(order="K")
         for i in range(flat_value.size):
             orig = flat_value[i]
             flat_value[i] = orig + h

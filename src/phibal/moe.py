@@ -41,6 +41,14 @@ def _softmax_rows_vjp(y: np.ndarray, g: np.ndarray) -> np.ndarray:
     return y * (g - (g * y).sum(axis=1, keepdims=True))
 
 
+def _weight_grad(w: Node, u: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """(u.T @ d).T, written into w.out when w has one and no gradient yet."""
+    if w.out is None or w.grad is not None:
+        return (u.T @ d).T
+    np.matmul(u.T, d, out=w.out.T)
+    return w.out
+
+
 def _sum_slots(pairs: np.ndarray, n_tokens: int) -> np.ndarray:
     """Per token, 0.0 plus its k rows of a (T*k, D) pair array in slot order."""
     out = np.zeros((n_tokens, pairs.shape[1]))
@@ -218,18 +226,18 @@ class MoeLayer:
             spans = []
             for e in group:
                 sl = slice(starts[e] - lo, ends[e] - lo)
-                # Contiguous transposes: BLAS rounds a transposed view
-                # differently, and these bits must match the reference expert.
+                # C-contiguous like the reference expert's (BLAS rounds a
+                # transposed view differently): an optimizer's arena itself.
                 w1t = np.ascontiguousarray(self.w1[e].value.T)
                 w2t = np.ascontiguousarray(self.w2[e].value.T)
                 np.matmul(u[sl], w1t, out=h[sl])
-                spans.append((sl, w1t, w2t))
+                spans.append((sl, e, w1t, w2t))
             a, b = h[:, :ffn], h[:, ffn:]
             s = 0.5 * (1.0 + np.tanh(0.5 * a))
             silu = a * s
             act = silu * b
             y = np.empty((hi - lo, dim))
-            for sl, _, w2t in spans:
+            for sl, _, _, w2t in spans:
                 np.matmul(act[sl], w2t, out=y[sl])
             buf[order[lo:hi]] = pair_w[lo:hi] * y
             saved.append((lo, hi, spans, a, b, s, silu, act, y))
@@ -260,16 +268,16 @@ class MoeLayer:
                     dw[rows, experts[lo:hi]] = (gr * y).sum(axis=1)
                     dy = gr * pair_w[lo:hi]
                     d_act = np.empty((hi - lo, ffn))
-                    for sl, _, w2t in spans:
-                        d_w2.append((act[sl].T @ dy[sl]).T)
+                    for sl, e, _, w2t in spans:
+                        d_w2.append(_weight_grad(self.w2[e], act[sl], dy[sl]))
                         np.matmul(dy[sl], w2t.T, out=d_act[sl])
                     dh = np.empty((hi - lo, 2 * ffn))
-                    dh[:, :ffn] = d_act * b * (s * (1.0 + a * (1.0 - s)))
-                    dh[:, ffn:] = d_act * silu
+                    np.multiply(d_act * b, s * (1.0 + a * (1.0 - s)), out=dh[:, :ffn])
+                    np.multiply(d_act, silu, out=dh[:, ffn:])
                     u = xv[rows]  # gathered again: kept, it would raise peak memory
                     du = np.empty((hi - lo, dim)) if need_dx else None
-                    for sl, w1t, _ in spans:
-                        d_w1.append((u[sl].T @ dh[sl]).T)
+                    for sl, e, w1t, _ in spans:
+                        d_w1.append(_weight_grad(self.w1[e], u[sl], dh[sl]))
                         if need_dx:
                             np.matmul(dh[sl], w1t.T, out=du[sl])
                     if need_dx:

@@ -92,6 +92,12 @@ class OptimizerConfig:
         for name, beta in (("beta1", self.beta1), ("beta2", self.beta2)):
             if not 0.0 <= beta < 1.0:
                 raise ValueError(f"{name} must lie in [0, 1), got {beta}")
+        if not 0.0 < self.eps < math.inf:
+            raise ValueError(f"eps must be finite and positive, got {self.eps}")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
+        if not self.warmup_steps >= 0:
+            raise ValueError(f"warmup_steps must be >= 0, got {self.warmup_steps}")
 
 
 @dataclass(frozen=True)
@@ -132,13 +138,14 @@ class TrainConfig:
 class Optimizer:
     """SGD or AdamW with linear warmup, then constant or cosine-decayed lr.
 
-    The optimizer owns the parameters' storage: one contiguous float64 arena
-    ``flat``, of which each parameter's value is a reshaped view, and for
-    AdamW flat moments ``m``/``v`` laid out the same way. A step walks chunks,
-    runs of consecutive parameters of at most ``_CHUNK`` elements (a larger
-    parameter is a chunk of its own): it gathers the chunk's gradients into a
-    chunk-sized scratch and updates the chunk with in-place ufuncs in the
-    per-array formula's operation order, so every result keeps its bits.
+    The optimizer owns the parameters' storage: float64 arenas ``flat`` (the
+    values), ``grad`` (each parameter's ``out``, where backward writes its
+    gradient) and AdamW's ``m``/``v``. Each parameter is a column-major view
+    of them, so a matrix's ``.T`` is C-contiguous and the forward uses it
+    uncopied. A step walks chunks, runs of consecutive parameters of at most
+    ``_CHUNK`` elements (a larger parameter is a chunk of its own), zeroes the
+    gradients of parameters that have none and updates the chunk with
+    in-place ufuncs in the per-array formula's order, so results keep bits.
     """
 
     def __init__(self, cfg: OptimizerConfig, params: list[Node], total_steps: int) -> None:
@@ -148,9 +155,10 @@ class Optimizer:
         self.t = 0
         self._starts = np.cumsum([0] + [p.value.size for p in params]).tolist()
         self.flat = np.empty(self._starts[-1])
-        for p, view in zip(params, self._views(self.flat)):
+        self.grad = np.empty_like(self.flat)  # every view is written before it is read
+        for p, view, out in zip(params, self._views(self.flat), self._views(self.grad)):
             view[...] = p.value
-            p.value = view
+            p.value, p.out = view, out
         if cfg.kind == "adamw":
             self.m = np.zeros_like(self.flat)
             self.v = np.zeros_like(self.flat)
@@ -163,23 +171,17 @@ class Optimizer:
             else:
                 runs.append([i])
         width = max((starts[r[-1] + 1] - starts[r[0]] for r in runs), default=0)
-        self._grad, self._tmp = np.empty(width), np.empty(width)
-        # Per chunk: its slice of the arena, and each member parameter with
-        # its view of the gradient scratch.
-        self._chunks: list[tuple[slice, list[tuple[Node, np.ndarray]]]] = []
-        for run in runs:
-            lo, hi = starts[run[0]], starts[run[-1] + 1]
-            members = [
-                (params[i], self._grad[starts[i] - lo:starts[i + 1] - lo].reshape(params[i].shape))
-                for i in run
-            ]
-            self._chunks.append((slice(lo, hi), members))
+        self._tmp, self._tmp2 = np.empty(width), np.empty(width)
+        self._chunks = [
+            (slice(starts[run[0]], starts[run[-1] + 1]), [params[i] for i in run])
+            for run in runs
+        ]
 
     def _views(self, flat: np.ndarray) -> list[np.ndarray]:
-        """Each parameter's reshaped view of an arena-sized array."""
+        """Each parameter's column-major view of an arena-sized array."""
         starts = self._starts
         return [
-            flat[lo:hi].reshape(p.shape)
+            flat[lo:hi].reshape(p.shape[::-1]).T
             for p, lo, hi in zip(self.params, starts, starts[1:])
         ]
 
@@ -201,17 +203,17 @@ class Optimizer:
         b1, b2 = cfg.beta1, cfg.beta2
         c1, c2 = 1.0 - b1**self.t, 1.0 - b2**self.t
         for span, members in self._chunks:
-            for p, g in members:
+            for p in members:
                 if p.grad is None:
-                    g.fill(0.0)
-                else:
-                    g[...] = p.grad
-            n = span.stop - span.start
-            g, tmp, p = self._grad[:n], self._tmp[:n], self.flat[span]
+                    p.out.fill(0.0)
+                elif p.grad is not p.out:
+                    p.out[...] = p.grad
+            g, p = self.grad[span], self.flat[span]
+            tmp, tmp2 = self._tmp[:g.size], self._tmp2[:g.size]
             if cfg.kind == "sgd":
                 # p -= lr * g
-                np.multiply(lr, g, out=g)
-                np.subtract(p, g, out=p)
+                np.multiply(lr, g, out=tmp)
+                np.subtract(p, tmp, out=p)
                 continue
             m, v = self.m[span], self.v[span]
             # m = b1 * m + (1 - b1) * g
@@ -223,14 +225,16 @@ class Optimizer:
             np.multiply(1.0 - b2, g, out=tmp)
             np.multiply(tmp, g, out=tmp)
             np.add(v, tmp, out=v)
-            # p -= lr * ((m / c1) / (sqrt(v / c2) + eps) + wd * p)
+            # p -= lr * ((m / c1) / (sqrt(v / c2) + eps) + wd * p); a zero wd
+            # is skipped, which can flip only the sign of an exactly-zero update.
             np.divide(v, c2, out=tmp)
             np.sqrt(tmp, out=tmp)
             np.add(tmp, cfg.eps, out=tmp)
-            np.divide(m, c1, out=g)
-            np.divide(g, tmp, out=tmp)
-            np.multiply(cfg.weight_decay, p, out=g)
-            np.add(tmp, g, out=tmp)
+            np.divide(m, c1, out=tmp2)
+            np.divide(tmp2, tmp, out=tmp)
+            if cfg.weight_decay != 0.0:
+                np.multiply(cfg.weight_decay, p, out=tmp2)
+                np.add(tmp, tmp2, out=tmp)
             np.multiply(lr, tmp, out=tmp)
             np.subtract(p, tmp, out=p)
 

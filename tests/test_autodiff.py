@@ -67,6 +67,29 @@ def test_first_adjoint_is_copied_not_shared():
     np.testing.assert_array_equal(x.grad, np.full((), 2.0))
 
 
+def test_leaf_out_receives_its_adjoint_in_place():
+    # With `out` set, a leaf's first adjoint is written there and the second
+    # added, with the bits of the same leaf without `out`, which gets a copy
+    # of the first: the VJPs' arrays are never changed.
+    rng = np.random.default_rng(4)
+    c1, c2 = rng.standard_normal(5), rng.standard_normal(5)
+    kept = c1.copy(), c2.copy()
+
+    def grad_of(leaf):
+        first = Node(0.0, (leaf,), (lambda g: c1,))
+        second = Node(0.0, (leaf,), (lambda g: c2,))  # backward reaches it first
+        total_loss(first, [second], 1.0, 1).backward()
+        return leaf.grad
+
+    plain, held = parameter(np.zeros(5)), parameter(np.zeros(5))
+    out = np.full(5, np.nan)
+    held.out = out
+    want, got = grad_of(plain), grad_of(held)
+    assert got is out and want is not c2
+    assert got.tobytes() == want.tobytes() == (c2 + c1).tobytes()
+    assert all(a.tobytes() == b.tobytes() for a, b in zip((c1, c2), kept))
+
+
 def test_linear_matches_transpose_then_matmul_bitwise():
     # The plain-numpy reference: a contiguous transpose, then matrix products.
     rng = np.random.default_rng(3)

@@ -369,6 +369,13 @@ def test_cli_bad_config_exit_code(tmp_path):
     assert main(["run", "--config", str(tmp_path / "missing.yaml")]) == EXIT_CONFIG
 
 
+def test_cli_nan_weight_decay_is_a_config_error(tmp_path, capsys):
+    # Accepted, it made the first AdamW update NaN and the run fail at step 2.
+    path = write_tiny_config(tmp_path, "optimizer: {weight_decay: .nan}\n")
+    assert main(["run", "--config", path]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
 def test_cli_domain_error_during_run_is_a_numerical_failure(tmp_path, monkeypatch, capsys):
     def fail(cfg):
         raise DomainError("renyi: all-zero vector has no finite value")

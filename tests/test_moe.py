@@ -7,7 +7,7 @@ from phibal.autodiff import _CHUNK, constant, linear, parameter, weighted_sum
 from phibal.balancer import BalanceConfig, BalancerState, total_loss
 from phibal.checks import finite_diff_gradient, gradient_max_rel_error
 from phibal.moe import MoeLayer
-from phibal.training import cross_entropy
+from phibal.training import Optimizer, OptimizerConfig, cross_entropy
 
 
 def make_layer(n_experts=4, top_k=2, dim=5, ffn_dim=6, seed=0) -> MoeLayer:
@@ -308,28 +308,37 @@ def test_expert_node_matches_per_expert_loop_bitwise(
     else:
         assert np.all((counts == 0) == (bias < 0))
         assert slab_elements.sum() > _CHUNK
-    x = parameter(x_arr.copy()) if x_requires_grad else constant(x_arr.copy())
-    for p in layer.parameters():
-        p.grad = None
-
-    y = layer.forward(x, routing)
-    weighted_sum(y, g).backward()
     out, dx, dw, d_w1, d_w2 = per_expert_reference(
         layer, x_arr, routing.weights.value, routing.selections, g
     )
 
-    np.testing.assert_array_equal(y.value, out)
-    if x_requires_grad:
-        np.testing.assert_array_equal(x.grad, dx)
-    else:
-        assert x.grad is None
-    np.testing.assert_array_equal(routing.weights.grad, dw)
-    for e in range(n_experts):
-        if counts[e] == 0:
-            assert layer.w1[e].grad is None and layer.w2[e].grad is None
+    # Then again with the weights moved into an optimizer's column-major
+    # arena: the forward uses their transposes uncopied, and each weight
+    # gradient is written into the weight's `out`, with the same bits.
+    for held in (False, True):
+        if held:
+            Optimizer(OptimizerConfig(), layer.parameters(), 1)
+            routing = layer.route(constant(x_arr), bias)
+        x = parameter(x_arr.copy()) if x_requires_grad else constant(x_arr.copy())
+        for p in layer.parameters():
+            p.grad = None
+        y = layer.forward(x, routing)
+        weighted_sum(y, g).backward()
+
+        np.testing.assert_array_equal(y.value, out)
+        if x_requires_grad:
+            np.testing.assert_array_equal(x.grad, dx)
         else:
-            np.testing.assert_array_equal(layer.w1[e].grad, d_w1[e])
-            np.testing.assert_array_equal(layer.w2[e].grad, d_w2[e])
+            assert x.grad is None
+        np.testing.assert_array_equal(routing.weights.grad, dw)
+        for e in range(n_experts):
+            w1, w2 = layer.w1[e], layer.w2[e]
+            if counts[e] == 0:
+                assert w1.grad is None and w2.grad is None
+            else:
+                np.testing.assert_array_equal(w1.grad, d_w1[e])
+                np.testing.assert_array_equal(w2.grad, d_w2[e])
+                assert (w1.grad is w1.out) == (w2.grad is w2.out) == held
 
 
 # -- the fused router and loss nodes ------------------------------------------------------

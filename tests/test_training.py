@@ -77,6 +77,21 @@ def test_nan_learning_rate_rejected():
         OptimizerConfig(lr=math.nan)
 
 
+@pytest.mark.parametrize(
+    "name,value",
+    [
+        ("eps", -1.0),
+        ("eps", math.nan),
+        ("weight_decay", math.nan),
+        ("weight_decay", -1),
+        ("warmup_steps", -5),
+    ],
+)
+def test_optimizer_knobs_out_of_range_rejected(name, value):
+    with pytest.raises(ValueError, match=name):
+        OptimizerConfig(**{name: value})
+
+
 # -- optimizers ------------------------------------------------------------------------
 
 
@@ -168,7 +183,7 @@ def _reference_optimizer(cfg, values, grads, total_steps):
 def test_flat_optimizer_matches_per_array_formula_bitwise(kind):
     # Four chunks: a 0-d parameter; one larger than a chunk; a run of two;
     # a last one. Parameter 3 has no gradient on alternate steps, between
-    # parameters that have one.
+    # parameters that have one. A zero weight decay skips the decay passes.
     shapes = [(), (_CHUNK + 7,), (_CHUNK // 4, 2), (8, 16), (3, _CHUNK // 3)]
     rng = np.random.default_rng(12)
     values = [rng.standard_normal(s) for s in shapes]
@@ -177,33 +192,49 @@ def test_flat_optimizer_matches_per_array_formula_bitwise(kind):
         [None if (i == 3 and t % 2) else rng.standard_normal(s) for i, s in enumerate(shapes)]
         for t in range(steps)
     ]
-    cfg = OptimizerConfig(
-        kind=kind, lr=0.05, weight_decay=0.01, warmup_steps=2, cosine=True
-    )
-    params = [parameter(v.copy()) for v in values]
-    opt = Optimizer(cfg, params, steps)
-    assert len(opt._chunks) == 4
-    for step_grads, expected in zip(grads, _reference_optimizer(cfg, values, grads, steps)):
-        for p, g in zip(params, step_grads):
-            p.grad = None if g is None else g.copy()
-        opt.step()
-        for p, want in zip(params, expected):
-            assert p.value.shape == want.shape
-            assert p.value.tobytes() == want.tobytes()
+    for weight_decay in (0.01, 0.0):
+        cfg = OptimizerConfig(
+            kind=kind, lr=0.05, weight_decay=weight_decay, warmup_steps=2, cosine=True
+        )
+        params = [parameter(v.copy()) for v in values]
+        opt = Optimizer(cfg, params, steps)
+        assert len(opt._chunks) == 4
+        for step_grads, expected in zip(grads, _reference_optimizer(cfg, values, grads, steps)):
+            for p, g in zip(params, step_grads):
+                p.grad = None if g is None else g.copy()
+            opt.step()
+            for p, want in zip(params, expected):
+                assert p.value.shape == want.shape
+                assert p.value.tobytes() == want.tobytes()
 
 
 def test_parameters_are_views_of_the_arena():
-    def shares_arena(trainer):
-        return all(np.shares_memory(p.value, trainer.optimizer.flat) for p in trainer.params)
+    # Matrices are stored column-major, so each `.value.T` is the arena
+    # itself, and backward leaves every gradient in the gradient arena.
+    def check_storage(trainer):
+        for p in trainer.params:
+            assert np.shares_memory(p.value, trainer.optimizer.flat)
+            if p.ndim == 2:
+                assert p.value.T.flags["C_CONTIGUOUS"]
 
     cfg = with_seed(short_config(), 2)
     trainer = Trainer(cfg)
-    assert shares_arena(trainer)
+    check_storage(trainer)
     for _ in range(3):
         trainer.step()
-    assert shares_arena(trainer)
+    check_storage(trainer)
+    for p in trainer.params:
+        assert p.grad is None or np.shares_memory(p.grad, trainer.optimizer.grad)
+    for layer, window in zip(trainer.model.layers, trainer._window):
+        counts = window[-1]  # the last step's selections
+        assert layer.w_router.grad is not None
+        for e, (w1, w2) in enumerate(zip(layer.w1, layer.w2)):
+            if counts[e]:
+                assert w1.grad is w1.out and w2.grad is w2.out
+            else:
+                assert w1.grad is None and w2.grad is None
     resumed = Trainer.restore(cfg, json.loads(json.dumps(trainer.snapshot())))
-    assert shares_arena(resumed)
+    check_storage(resumed)
     for p, q in zip(resumed.params, trainer.params):
         assert p.value.tobytes() == q.value.tobytes()
 
@@ -480,6 +511,19 @@ def test_restore_rejects_malformed_window():
     too_long["window"][0] = [snap["window"][0][0]] * (cfg.load_window + 8)
     with pytest.raises(ValueError, match=f"window 0 holds {cfg.load_window + 8} batches"):
         Trainer.restore(cfg, too_long)
+
+
+def test_square_expert_weights_resume_bit_exact():
+    # With ffn_dim == dim, w2 is square: a snapshot that mixed up logical and
+    # storage layout would still restore, silently transposed.
+    cfg = replace(_PIN_BASE, model=ModelConfig(ffn_dim=16))
+    full = train(cfg)
+    assert full.digest()[:12] == "f49e42f4fd1c"
+    half = Trainer(cfg)
+    while half.step_index < 150:
+        half.step()
+    resumed = Trainer.restore(cfg, json.loads(json.dumps(half.snapshot())))
+    assert resumed.run().digest() == full.digest()
 
 
 def test_snapshot_rejects_unknown_version():
