@@ -190,12 +190,21 @@ def parameter(data) -> Node:
 # -- primitives ---------------------------------------------------------------
 
 
+def _weight_grad(w: Node, u: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """(u.T @ d).T, written into w.out when w has one and no gradient yet."""
+    if w.out is None or w.grad is not None:
+        return (u.T @ d).T
+    np.matmul(u.T, d, out=w.out.T)
+    return w.out
+
+
 def linear(x: Node, w: Node) -> Node:
     """x @ w.T as one node, for a (n, d) input and a (m, d) weight.
 
     The forward multiplies by a C-contiguous w.T, as the tests' plain-numpy
     references do (BLAS rounds a transposed view differently): the arena
-    itself for a weight in an optimizer, a copy of any other weight.
+    itself for a weight in an optimizer, a copy of any other weight. The
+    weight's adjoint is written into its `out`, as the expert node's are.
     """
     if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[1]:
         raise ShapeError(f"linear: {x.shape} @ {w.shape}.T")
@@ -204,7 +213,7 @@ def linear(x: Node, w: Node) -> Node:
     return Node(
         xv @ wt,
         (x, w),
-        (lambda g: g @ wt.T, lambda g: (xv.T @ g).T),
+        (lambda g: g @ wt.T, lambda g: _weight_grad(w, xv, g)),
         op="linear",
     )
 

@@ -11,8 +11,6 @@ from collections.abc import Container
 from dataclasses import fields, replace
 from pathlib import Path
 
-import yaml
-
 from .corpus import CorpusSpec
 from .training import (
     BalanceConfig,
@@ -56,9 +54,9 @@ _SECTIONS = {
     }
     for section, cls in _CLASSES.items()
 }
-# Section -> the fields annotated ``float``.
-_FLOATS = {
-    section: {f.name for f in fields(cls) if f.type in ("float", float)}
+# Section -> {field: "float" or "int"} for the fields annotated so.
+_NUMBERS = {
+    section: {f.name: f.type for f in fields(cls) if f.type in ("float", "int")}
     for section, cls in _CLASSES.items()
 }
 _SWEEP_KEYS = ("axis", "values", "seeds")
@@ -83,9 +81,16 @@ def _from_yaml(value):
 
 def _as_field(section: str, name: str, value):
     """An int in a float field becomes a float, so ``eta: 1`` and ``eta: 1.0``
-    parse, serialize and digest as one config."""
-    if name in _FLOATS[section] and isinstance(value, int) and not isinstance(value, bool):
+    parse, serialize and digest as one config; likewise an integral float in
+    an int field becomes an int. A bool or any other float in an int field
+    is an error: ``layers: true`` is not ``layers: 1``."""
+    kind = _NUMBERS[section].get(name)
+    if kind == "float" and isinstance(value, int) and not isinstance(value, bool):
         return float(value)
+    if kind == "int" and isinstance(value, (bool, float)):
+        if isinstance(value, float) and value.is_integer():
+            return int(value)
+        raise ConfigError(f"{section} {name!r} must be an integer, got {value!r}")
     return value
 
 
@@ -162,6 +167,8 @@ def plan_from_dict(raw: dict):
 
 def parse_config(path):
     """Load a run config or sweep plan from a YAML file."""
+    import yaml  # here, not at module level: only a config file needs it
+
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")

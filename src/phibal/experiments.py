@@ -14,7 +14,6 @@ import itertools
 import json
 import os
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -213,6 +212,9 @@ def run_plan(plan: ExperimentPlan, out_dir, jobs: int = 1) -> list[RunOutcome]:
 
     job_inputs = [(plan, value, seed, str(out)) for value, seed in _combinations(plan)]
     if jobs > 1 and len(job_inputs) > 1:
+        # Imported here: a serial sweep never loads multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_run_one, job_inputs))
     else:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import _CHUNK, Node, linear, parameter
+from .autodiff import _CHUNK, Node, _weight_grad, linear, parameter
 
 __all__ = ["RoutingBatch", "MoeLayer"]
 
@@ -39,14 +39,6 @@ def _softmax_rows(a: np.ndarray) -> np.ndarray:
 def _softmax_rows_vjp(y: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Adjoint of the logits of y = softmax_rows(logits) for adjoint g of y."""
     return y * (g - (g * y).sum(axis=1, keepdims=True))
-
-
-def _weight_grad(w: Node, u: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """(u.T @ d).T, written into w.out when w has one and no gradient yet."""
-    if w.out is None or w.grad is not None:
-        return (u.T @ d).T
-    np.matmul(u.T, d, out=w.out.T)
-    return w.out
 
 
 def _sum_slots(pairs: np.ndarray, n_tokens: int) -> np.ndarray:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from phibal import checks
 from phibal.checks import (
     check_duality,
     check_gradients,
@@ -10,6 +11,7 @@ from phibal.checks import (
     gradient_max_rel_error,
 )
 from phibal.cli import EXIT_CONFIG, EXIT_OK, main
+from phibal.potentials import PotentialSpec, inverse_link, link
 
 
 def test_uniform_minimizer_suite():
@@ -25,6 +27,32 @@ def test_duality_suite():
 def test_mirror_step_suite():
     res = check_mirror_step()
     assert res.passed, res.detail
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_mirror_step_suite_passes_across_seeds(seed):
+    res = check_mirror_step(seed=seed)
+    assert res.passed, res.detail
+
+
+def test_mirror_step_solve_uses_link_only_for_its_start(monkeypatch):
+    # The Newton solve must not reach the closed form through `link`.
+    calls = []
+
+    def counting_link(spec, m):
+        calls.append(m)
+        return link(spec, m)
+
+    monkeypatch.setattr(checks, "link", counting_link)
+    rng = np.random.default_rng(0)
+    for spec in (PotentialSpec("neg_shannon"), PotentialSpec("euclidean")):
+        m, p = rng.dirichlet(np.ones(4)), rng.dirichlet(np.ones(4))
+        eta = 0.3
+        calls.clear()
+        q = checks.mirror_step_numeric(spec, m, p, eta)
+        assert len(calls) == 1 and calls[0] is m
+        grad = (p - m) - (inverse_link(spec, q) - m) / eta
+        assert np.max(np.abs(grad)) <= 1e-10
 
 
 def test_gradient_suite():

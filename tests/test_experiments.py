@@ -308,6 +308,34 @@ def test_int_in_float_field_is_the_same_config():
     assert config_digest(parsed) == config_digest(as_float)
 
 
+def test_bool_in_int_field_is_a_config_error():
+    # Accepted, `layers: true` built the config of `layers: 1` under another digest.
+    raw = yaml.safe_load(TINY)
+    raw["model"]["layers"] = True
+    with pytest.raises(ConfigError, match="model 'layers' must be an integer"):
+        config_from_dict(raw)
+
+
+def test_fractional_float_in_int_field_is_a_config_error(tmp_path, capsys):
+    # Accepted, it failed in numpy at the first batch, with a traceback.
+    path = write_tiny_config(tmp_path)
+    raw = yaml.safe_load(Path(path).read_text())
+    raw["train"]["batch_tokens"] = 64.5
+    Path(path).write_text(yaml.safe_dump(raw))
+    assert main(["run", "--config", path, "--out", str(tmp_path / "r")]) == EXIT_CONFIG
+    assert "train 'batch_tokens' must be an integer, got 64.5" in capsys.readouterr().err
+
+
+def test_integral_float_in_int_field_is_the_same_config():
+    # `steps: 30.0` once got a CSV name of its own.
+    raw = yaml.safe_load(TINY)
+    as_int = config_from_dict(raw)
+    raw["train"]["steps"] = 30.0
+    parsed = config_from_dict(raw)
+    assert type(parsed.steps) is int
+    assert config_digest(parsed) == config_digest(as_int)
+
+
 def test_eta_sweep_completes_across_band(tmp_path):
     plan = parse_config(
         write_tiny_plan(

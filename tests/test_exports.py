@@ -1,5 +1,9 @@
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import phibal
 
@@ -16,3 +20,19 @@ def test_every_exported_name_resolves():
         if not hasattr(module, name)
     ]
     assert missing == []
+
+
+def test_cli_import_leaves_optional_modules_unloaded():
+    # Only `phibal check`'s solver once needed scipy, only a config file
+    # needs yaml and only a parallel sweep needs multiprocessing.
+    probe = (
+        "import sys, phibal.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('scipy', 'yaml', 'multiprocessing')))"
+    )
+    src = str(Path(phibal.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
+    ).stdout
+    assert out.strip() == "[]"

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from phibal.autodiff import _CHUNK, constant, parameter
+from phibal.autodiff import _CHUNK, constant, linear, parameter
 from phibal.balancer import total_loss
 from phibal.checks import finite_diff_gradient, gradient_max_rel_error
 from phibal.config import with_seed
@@ -237,6 +237,24 @@ def test_parameters_are_views_of_the_arena():
     check_storage(resumed)
     for p, q in zip(resumed.params, trainer.params):
         assert p.value.tobytes() == q.value.tobytes()
+
+
+def test_linear_writes_router_and_head_gradients_in_place():
+    # linear's weight VJP writes into the weight's `out` and returns it, so
+    # backward takes it without a copy, with the bits of (x.T @ g).T.
+    trainer = Trainer(with_seed(short_config(), 3))
+    trainer.step()
+    weights = [layer.w_router for layer in trainer.model.layers] + [trainer.model.head]
+    for w in weights:
+        assert w.grad is w.out
+    rng = np.random.default_rng(0)
+    for w in weights:
+        x = rng.standard_normal((5, w.shape[1]))
+        g = rng.standard_normal((5, w.shape[0]))
+        w.grad = None
+        contrib = linear(constant(x), w)._vjps[0](g)
+        assert contrib is w.out
+        assert contrib.tobytes() == (x.T @ g).T.tobytes()
 
 
 # -- training loop -----------------------------------------------------------------------
