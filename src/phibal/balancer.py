@@ -19,7 +19,6 @@ loss coefficient alpha is applied by `total_loss`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +26,7 @@ import numpy as np
 from . import potentials
 from .autodiff import Node, weighted_sum
 from .potentials import PotentialSpec
+from .schema import check_fields, one_of, within
 
 __all__ = [
     "MECHANISMS",
@@ -56,26 +56,16 @@ class BalanceConfig:
     ``loss_free`` bias increment.
     """
 
-    mechanism: str = "phi"
+    mechanism: str = field(default="phi", metadata=one_of(MECHANISMS))
     phi: str | None = "neg_shannon"
-    eta: float = 0.7
-    alpha: float = 0.01
-    statistic: str = "probability"
-    bias_step: float = 1e-3
+    eta: float = field(default=0.7, metadata=within("(0, 1]"))
+    alpha: float = field(default=0.01, metadata=within("[0, inf)"))
+    statistic: str = field(default="probability", metadata=one_of(STATISTICS))
+    bias_step: float = field(default=1e-3, metadata=within("[0, inf)"))
 
     def __post_init__(self) -> None:
-        # Negated positive tests, so that NaN fails them too.
-        if not self.alpha >= 0.0:
-            raise ValueError(f"alpha must be nonnegative, got {self.alpha}")
-        if not 0.0 <= self.bias_step < math.inf:
-            raise ValueError(f"bias_step must be finite and nonnegative, got {self.bias_step}")
+        check_fields(self, "balance")
         self.potential()  # a bad token fails here, whatever the mechanism
-        if not 0.0 < self.eta <= 1.0:
-            raise ValueError(f"eta must lie in (0, 1], got {self.eta}")
-        if self.mechanism not in MECHANISMS:
-            raise ValueError(f"unknown mechanism {self.mechanism!r}")
-        if self.statistic not in STATISTICS:
-            raise ValueError(f"unknown statistic {self.statistic!r}")
         if self.mechanism == "phi" and not self.phi:
             raise ValueError("phi mechanism needs a potential spec")
 

@@ -54,11 +54,6 @@ _SECTIONS = {
     }
     for section, cls in _CLASSES.items()
 }
-# Section -> {field: "float" or "int"} for the fields annotated so.
-_NUMBERS = {
-    section: {f.name: f.type for f in fields(cls) if f.type in ("float", "int")}
-    for section, cls in _CLASSES.items()
-}
 _SWEEP_KEYS = ("axis", "values", "seeds")
 # A file that leaves out corpus ``domains`` gets the default config's count.
 _DEFAULT_DOMAINS = TrainConfig().corpus.n_domains
@@ -79,21 +74,6 @@ def _from_yaml(value):
     return value
 
 
-def _as_field(section: str, name: str, value):
-    """An int in a float field becomes a float, so ``eta: 1`` and ``eta: 1.0``
-    parse, serialize and digest as one config; likewise an integral float in
-    an int field becomes an int. A bool or any other float in an int field
-    is an error: ``layers: true`` is not ``layers: 1``."""
-    kind = _NUMBERS[section].get(name)
-    if kind == "float" and isinstance(value, int) and not isinstance(value, bool):
-        return float(value)
-    if kind == "int" and isinstance(value, (bool, float)):
-        if isinstance(value, float) and value.is_integer():
-            return int(value)
-        raise ConfigError(f"{section} {name!r} must be an integer, got {value!r}")
-    return value
-
-
 def _to_yaml(value):
     return [_to_yaml(v) for v in value] if isinstance(value, tuple) else value
 
@@ -109,10 +89,7 @@ def config_from_dict(raw: dict) -> TrainConfig:
 
     try:
         kwargs = {
-            section: {
-                keys[key]: _as_field(section, keys[key], _from_yaml(v))
-                for key, v in raw.get(section, {}).items()
-            }
+            section: {keys[key]: _from_yaml(v) for key, v in raw.get(section, {}).items()}
             for section, keys in _SECTIONS.items()
         }
         model = ModelConfig(**kwargs["model"])
@@ -134,10 +111,7 @@ def config_to_dict(cfg: TrainConfig) -> dict:
     out = {}
     for section, keys in _SECTIONS.items():
         source = cfg if section == "train" else getattr(cfg, section)
-        out[section] = {
-            key: _to_yaml(_as_field(section, name, getattr(source, name)))
-            for key, name in keys.items()
-        }
+        out[section] = {key: _to_yaml(getattr(source, name)) for key, name in keys.items()}
     if cfg.corpus.centers is None:
         del out["corpus"]["centers"]
     return out
@@ -174,7 +148,7 @@ def parse_config(path):
         raise ConfigError(f"config file not found: {path}")
     try:
         raw = yaml.safe_load(path.read_text())
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: an int past Python's digit limit
         raise ConfigError(f"{path}: {exc}") from exc
     if raw is None:
         raw = {}

@@ -8,11 +8,13 @@ of (seed, step): the same pair always yields the same batch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
+
+from .schema import check_fields, one_of, within
 
 __all__ = ["CorpusSpec", "sample_batch", "drift_mixture", "domain_centers"]
 
@@ -37,24 +39,17 @@ class CorpusSpec:
     them.
     """
 
-    n_domains: int
-    dim: int
+    n_domains: int = field(metadata=within("[2, inf)"))
+    dim: int = field(metadata=within("[1, inf)"))
     mixture: tuple[float, ...] | None = None
-    cluster_scale: float = 0.5
-    label_rule: str = "domain_id"
-    seed: int = 0
+    cluster_scale: float = field(default=0.5, metadata=within("[0, inf)"))
+    label_rule: str = field(default="domain_id", metadata=one_of(LABEL_RULES))
+    seed: int = field(default=0, metadata=within("[0, inf)"))
     centers: tuple[tuple[float, ...], ...] | None = None
     mixture_schedule: Callable[[int], np.ndarray] | None = None
 
     def __post_init__(self) -> None:
-        if self.n_domains < 2:
-            raise ValueError(f"need at least 2 domains, got {self.n_domains}")
-        if not self.cluster_scale >= 0.0:  # negated, so that NaN fails it too
-            raise ValueError(f"cluster_scale must be nonnegative, got {self.cluster_scale}")
-        if self.label_rule not in LABEL_RULES:
-            raise ValueError(f"unknown label rule {self.label_rule!r}")
-        if self.seed < 0:
-            raise ValueError(f"corpus seed must be nonnegative, got {self.seed}")
+        check_fields(self, "corpus")
         if self.mixture is None:
             object.__setattr__(
                 self, "mixture", tuple([1.0 / self.n_domains] * self.n_domains)

@@ -54,13 +54,11 @@ DETERMINISTIC_ENV = "PHIBAL_DETERMINISTIC"
 
 # Sweep axis -> the base config with one value applied.
 _AXES = {
-    "phi": lambda cfg, v: replace(
-        cfg, balance=replace(cfg.balance, mechanism="phi", phi=str(v))
-    ),
-    "eta": lambda cfg, v: replace(cfg, balance=replace(cfg.balance, eta=float(v))),
-    "batch": lambda cfg, v: replace(cfg, batch_tokens=int(v)),
-    "mechanism": lambda cfg, v: replace(cfg, balance=replace(cfg.balance, mechanism=str(v))),
-    "statistic": lambda cfg, v: replace(cfg, balance=replace(cfg.balance, statistic=str(v))),
+    "phi": lambda cfg, v: replace(cfg, balance=replace(cfg.balance, mechanism="phi", phi=v)),
+    "eta": lambda cfg, v: replace(cfg, balance=replace(cfg.balance, eta=v)),
+    "batch": lambda cfg, v: replace(cfg, batch_tokens=v),
+    "mechanism": lambda cfg, v: replace(cfg, balance=replace(cfg.balance, mechanism=v)),
+    "statistic": lambda cfg, v: replace(cfg, balance=replace(cfg.balance, statistic=v)),
 }
 
 
@@ -78,6 +76,7 @@ class ExperimentPlan:
             raise ConfigError("sweep values must be non-empty")
         if not self.seeds:
             raise ConfigError("need at least one seed")
+        expand_plan(self)  # a bad value stops the sweep before any run
 
 
 @dataclass(frozen=True)
@@ -88,18 +87,17 @@ class RunOutcome:
     error: str | None = None
 
 
-def _combinations(plan: ExperimentPlan) -> list[tuple[object, int]]:
-    """Every (value, seed) pair, in plan order."""
-    return list(itertools.product(plan.values, plan.seeds))
-
-
 def _apply_axis(plan: ExperimentPlan, value, seed: int) -> TrainConfig:
-    return with_seed(_AXES[plan.axis](plan.base, value), seed)
+    try:
+        return with_seed(_AXES[plan.axis](plan.base, value), seed)
+    except ValueError as exc:
+        raise ConfigError(f"sweep {plan.axis} value {value!r}: {exc}") from exc
 
 
 def expand_plan(plan: ExperimentPlan) -> list[tuple[str, int, TrainConfig]]:
     """All (label, seed, config) combinations, in plan order."""
-    return [(str(v), seed, _apply_axis(plan, v, seed)) for v, seed in _combinations(plan)]
+    pairs = itertools.product(plan.values, plan.seeds)
+    return [(str(v), seed, _apply_axis(plan, v, seed)) for v, seed in pairs]
 
 
 def config_digest(cfg: TrainConfig) -> str:
@@ -174,12 +172,10 @@ def read_run_csv(path) -> list[dict]:
 # -- plan execution -----------------------------------------------------------------
 
 
-def _run_one(job: tuple[ExperimentPlan, object, int, str]) -> RunOutcome:
-    plan, value, seed, out_dir = job
-    label = str(value)
-    try:  # a bad value fails here and becomes an error row like a failed run
-        cfg = _apply_axis(plan, value, seed)
-        path = Path(out_dir) / f"run_{config_digest(cfg)}.csv"
+def _run_one(job: tuple[str, int, TrainConfig, str]) -> RunOutcome:
+    label, seed, cfg, out_dir = job
+    path = Path(out_dir) / f"run_{config_digest(cfg)}.csv"
+    try:
         record = train(cfg)
         write_run_csv(path, cfg, record)
         return RunOutcome(label=label, seed=seed, csv_path=str(path))
@@ -194,8 +190,8 @@ def run_plan(plan: ExperimentPlan, out_dir, jobs: int = 1) -> list[RunOutcome]:
     """Run every combination, write per-run CSVs and a Markdown summary.
 
     The output directory must be writable before any run starts. A failing
-    combination (bad value or a numerical abort) becomes an error row in the
-    summary and does not stop its siblings. Results keep plan order
+    run (a numerical abort or any other exception) becomes an error row in
+    the summary and does not stop its siblings. Results keep plan order
     regardless of scheduling.
     """
     out = Path(out_dir)
@@ -210,7 +206,7 @@ def run_plan(plan: ExperimentPlan, out_dir, jobs: int = 1) -> list[RunOutcome]:
     if os.environ.get(DETERMINISTIC_ENV) == "1":
         jobs = 1
 
-    job_inputs = [(plan, value, seed, str(out)) for value, seed in _combinations(plan)]
+    job_inputs = [(label, seed, cfg, str(out)) for label, seed, cfg in expand_plan(plan)]
     if jobs > 1 and len(job_inputs) > 1:
         # Imported here: a serial sweep never loads multiprocessing.
         from concurrent.futures import ProcessPoolExecutor

@@ -26,6 +26,7 @@ from .balancer import BalanceConfig, BalancerState, total_loss
 from .corpus import CorpusSpec, sample_batch
 from .metrics import accuracy, gini, max_vio
 from .moe import MoeLayer, RoutingBatch
+from .schema import check_fields, one_of, within
 
 __all__ = [
     "ModelConfig",
@@ -60,44 +61,31 @@ class NumericalError(RuntimeError):
 
 @dataclass(frozen=True)
 class ModelConfig:
-    layers: int = 2
-    experts: int = 8
-    top_k: int = 2
-    dim: int = 16
-    ffn_dim: int = 32
+    layers: int = field(default=2, metadata=within("[1, inf)"))
+    experts: int = field(default=8, metadata=within("[1, inf)"))
+    top_k: int = 2  # in [1, experts], checked below
+    dim: int = field(default=16, metadata=within("[1, inf)"))
+    ffn_dim: int = field(default=32, metadata=within("[1, inf)"))
 
     def __post_init__(self) -> None:
-        if self.layers < 1:
-            raise ValueError("need at least one layer")
+        check_fields(self, "model")
         if not 1 <= self.top_k <= self.experts:
             raise ValueError(f"top_k={self.top_k} must lie in [1, {self.experts}]")
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    kind: str = "adamw"
-    lr: float = 3e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 0.0
-    warmup_steps: int = 50
+    kind: str = field(default="adamw", metadata=one_of(("sgd", "adamw")))
+    lr: float = field(default=3e-3, metadata=within("(0, inf)"))
+    beta1: float = field(default=0.9, metadata=within("[0, 1)"))
+    beta2: float = field(default=0.999, metadata=within("[0, 1)"))
+    eps: float = field(default=1e-8, metadata=within("(0, inf)"))
+    weight_decay: float = field(default=0.0, metadata=within("[0, inf)"))
+    warmup_steps: int = field(default=50, metadata=within("[0, inf)"))
     cosine: bool = False
 
     def __post_init__(self) -> None:
-        if self.kind not in ("sgd", "adamw"):
-            raise ValueError(f"unknown optimizer {self.kind!r}")
-        if not self.lr > 0.0:  # negated, so that NaN fails it too
-            raise ValueError("learning rate must be positive")
-        for name, beta in (("beta1", self.beta1), ("beta2", self.beta2)):
-            if not 0.0 <= beta < 1.0:
-                raise ValueError(f"{name} must lie in [0, 1), got {beta}")
-        if not 0.0 < self.eps < math.inf:
-            raise ValueError(f"eps must be finite and positive, got {self.eps}")
-        if not 0.0 <= self.weight_decay < math.inf:
-            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
-        if not self.warmup_steps >= 0:
-            raise ValueError(f"warmup_steps must be >= 0, got {self.warmup_steps}")
+        check_fields(self, "optimizer")
 
 
 @dataclass(frozen=True)
@@ -106,26 +94,17 @@ class TrainConfig:
     balance: BalanceConfig = field(default_factory=BalanceConfig)
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     corpus: CorpusSpec = field(default_factory=lambda: CorpusSpec(n_domains=4, dim=16))
-    batch_tokens: int = 64
-    steps: int = 2000
-    eval_every: int = 100
-    eval_tokens: int = 512
-    seed: int = 0
-    load_window: int = 200
+    batch_tokens: int = field(default=64, metadata=within("[1, inf)"))
+    steps: int = field(default=2000, metadata=within("[1, inf)"))
+    eval_every: int = field(default=100, metadata=within("[1, inf)"))
+    eval_tokens: int = field(default=512, metadata=within("[1, inf)"))
+    seed: int = field(default=0, metadata=within("[0, inf)"))
+    load_window: int = field(default=200, metadata=within("[1, inf)"))
 
     def __post_init__(self) -> None:
-        if self.steps <= 0:
-            raise ValueError("steps must be positive")
-        if not 1 <= self.eval_every <= self.steps:
-            raise ValueError("eval_every must lie in [1, steps]")
-        if self.batch_tokens < 1:
-            raise ValueError("batch_tokens must be positive")
-        if self.eval_tokens < 1:
-            raise ValueError("eval_tokens must be positive")
-        if self.load_window < 1:
-            raise ValueError("load_window must be positive")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        check_fields(self, "train")
+        if self.eval_every > self.steps:
+            raise ValueError(f"eval_every {self.eval_every} must not exceed steps {self.steps}")
         if self.corpus.dim != self.model.dim:
             raise ValueError(
                 f"corpus dim {self.corpus.dim} != model dim {self.model.dim}"

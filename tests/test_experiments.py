@@ -25,7 +25,7 @@ from phibal.experiments import (
 )
 from phibal.corpus import CorpusSpec
 from phibal.potentials import DomainError
-from phibal.training import BalanceConfig, TrainConfig, train
+from phibal.training import BalanceConfig, NumericalError, TrainConfig, train
 
 TINY = textwrap.dedent(
     """
@@ -257,17 +257,53 @@ def test_single_config_single_seed_yields_one_csv(tmp_path):
     assert len(list(out.glob("run_*.csv"))) == 1
 
 
-def test_failed_run_records_error_and_spares_siblings(tmp_path):
-    # eta is validated at run construction, so a bad eta fails inside the run.
-    plan = parse_config(write_tiny_plan(tmp_path, axis="eta", values=(0.7, 5.0), seeds=(0,)))
+def test_failed_run_records_error_and_spares_siblings(tmp_path, monkeypatch):
+    # Values are checked when the plan is built, so the failures are the runs' own:
+    # one numerical abort and one other exception, one for each branch of `_run_one`.
+    failures = {
+        0.8: (NumericalError(3, {}), "non-finite loss at step 3"),
+        0.9: (DomainError("renyi: zero vector"), "potentials.DomainError: renyi: zero vector"),
+    }
+
+    def train_or_fail(cfg):
+        if cfg.balance.eta in failures:
+            raise failures[cfg.balance.eta][0]
+        return train(cfg)
+
+    monkeypatch.setattr("phibal.experiments.train", train_or_fail)
+    plan = parse_config(
+        write_tiny_plan(tmp_path, axis="eta", values=(0.7, 0.8, 0.9), seeds=(0,))
+    )
     out = tmp_path / "err"
     outcomes = run_plan(plan, out)
     by_label = {oc.label: oc for oc in outcomes}
     assert by_label["0.7"].error is None
-    assert by_label["5.0"].error is not None
+    for eta, (_, detail) in failures.items():
+        assert by_label[str(eta)].error.endswith(detail)
     summary = (out / "summary.md").read_text()
     assert "ERROR" in summary
     assert len(list(out.glob("run_*.csv"))) == 1
+
+
+@pytest.mark.parametrize(
+    "axis, good, value, field",
+    [
+        ("batch", 16, 64.5, "batch_tokens"),
+        ("batch", 16, True, "batch_tokens"),
+        ("eta", 0.7, True, "eta"),
+        ("eta", 0.7, 5.0, "eta"),
+    ],
+)
+def test_sweep_values_are_checked_when_the_plan_is_built(
+    tmp_path, capsys, axis, good, value, field
+):
+    # Accepted, `batch: 64.5` trained at 64 under the label "64.5" and exited 0.
+    path = write_tiny_plan(tmp_path, axis=axis, values=(good, value), seeds=(0,))
+    with pytest.raises(ConfigError, match=f"'{field}'"):
+        parse_config(path)
+    assert main(["sweep", "--config", path, "--out", str(tmp_path / "s")]) == EXIT_CONFIG
+    assert f"config error: sweep {axis} value {value!r}" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
 
 
 def test_deterministic_rerun_is_byte_identical(tmp_path, monkeypatch):
@@ -401,6 +437,41 @@ def test_cli_nan_weight_decay_is_a_config_error(tmp_path, capsys):
     # Accepted, it made the first AdamW update NaN and the run fail at step 2.
     path = write_tiny_config(tmp_path, "optimizer: {weight_decay: .nan}\n")
     assert main(["run", "--config", path]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("model", "dim", 0),
+        ("model", "ffn_dim", 0),
+        ("model", "dim", -3),
+        ("balance", "phi", 5),
+        ("optimizer", "lr", float("inf")),
+        ("balance", "alpha", float("inf")),
+        ("corpus", "cluster_scale", float("inf")),
+        ("optimizer", "cosine", 1),
+        ("optimizer", "cosine", "yes"),
+        pytest.param("optimizer", "lr", 10**400, id="optimizer-lr-10**400"),
+    ],
+)
+def test_cli_out_of_range_or_mistyped_value_is_a_config_error(
+    tmp_path, capsys, section, key, value
+):
+    # Before, these ended in tracebacks, failed mid-run with exit 2, or (`cosine`)
+    # trained the run of `cosine: true` under a digest of their own.
+    raw = yaml.safe_load(TINY)
+    raw.setdefault(section, {})[key] = value
+    path = tmp_path / "run.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+    assert f"config error: {section} '{key}' must " in capsys.readouterr().err
+
+
+def test_cli_int_past_the_digit_limit_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "run.yaml"
+    path.write_text("optimizer: {lr: " + "1" * 5000 + "}\n")
+    assert main(["run", "--config", str(path)]) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
 
 

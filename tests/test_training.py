@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -73,7 +73,7 @@ def test_adam_betas_must_lie_in_unit_interval(name, value):
 
 
 def test_nan_learning_rate_rejected():
-    with pytest.raises(ValueError, match="learning rate"):
+    with pytest.raises(ValueError, match="'lr'"):
         OptimizerConfig(lr=math.nan)
 
 
@@ -90,6 +90,38 @@ def test_nan_learning_rate_rejected():
 def test_optimizer_knobs_out_of_range_rejected(name, value):
     with pytest.raises(ValueError, match=name):
         OptimizerConfig(**{name: value})
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda: ModelConfig(layers=True), "model 'layers' must be an integer"),
+        (lambda: OptimizerConfig(cosine="no"), "optimizer 'cosine' must be a bool"),
+        (lambda: BalanceConfig(eta=True), "balance 'eta' must be a number"),
+        (lambda: CorpusSpec(n_domains=2.5, dim=4), "corpus 'n_domains' must be an integer"),
+    ],
+    ids=["layers=True", "cosine='no'", "eta=True", "n_domains=2.5"],
+)
+def test_python_built_config_is_checked(build, name):
+    # Accepted, `layers=True` failed only later, in `config_to_dict`.
+    with pytest.raises(ValueError, match=name):
+        build()
+
+
+@pytest.mark.parametrize(
+    "cls", [ModelConfig, OptimizerConfig, TrainConfig, BalanceConfig, CorpusSpec]
+)
+def test_every_number_field_declares_a_range(cls):
+    # `top_k` is checked against `experts` by hand; a new knob may not land unchecked.
+    numbers = [f for f in fields(cls) if f.type in ("int", "float")]
+    unchecked = [f.name for f in numbers if "test" not in f.metadata]
+    assert unchecked == (["top_k"] if cls is ModelConfig else [])
+
+
+def test_number_fields_are_coerced_to_their_annotation():
+    cfg = TrainConfig(steps=300.0, balance=BalanceConfig(eta=1), optimizer=OptimizerConfig(lr=1))
+    assert type(cfg.steps) is int and type(cfg.balance.eta) is float
+    assert type(cfg.optimizer.lr) is float
 
 
 # -- optimizers ------------------------------------------------------------------------
