@@ -39,6 +39,13 @@ def _seed(text: str) -> int:
     return value
 
 
+def _jobs(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"jobs must be >= 1, got {value}")
+    return value
+
+
 def _positive(text: str) -> float:
     value = float(text)
     if not 0.0 < value < math.inf:
@@ -58,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p = sub.add_parser("sweep", help="run an ablation plan")
     sweep_p.add_argument("--config", required=True, help="path to a sweep plan")
     sweep_p.add_argument("--out", required=True, help="output directory")
-    sweep_p.add_argument("--jobs", type=int, default=1, help="parallel runs")
+    sweep_p.add_argument("--jobs", type=_jobs, default=1, help="parallel runs")
 
     check_p = sub.add_parser("check", help="run the identity and gradient suites")
     check_p.add_argument(

@@ -152,9 +152,9 @@ def parse_config(path):
         raise ConfigError(f"{path}: {exc}") from exc
     if raw is None:
         raw = {}
-    if "sweep" in raw:
+    if isinstance(raw, dict) and "sweep" in raw:
         return plan_from_dict(raw)
-    return config_from_dict(raw)
+    return config_from_dict(raw)  # which rejects a root that is not a mapping
 
 
 def with_seed(cfg: TrainConfig, seed: int) -> TrainConfig:

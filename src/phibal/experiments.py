@@ -76,7 +76,14 @@ class ExperimentPlan:
             raise ConfigError("sweep values must be non-empty")
         if not self.seeds:
             raise ConfigError("need at least one seed")
-        expand_plan(self)  # a bad value stops the sweep before any run
+        # A bad value, or two runs that would write one CSV, stops the sweep
+        # before any run.
+        seen: dict[str, str] = {}
+        for label, seed, cfg in expand_plan(self):
+            run = f"value {label} seed {seed}"
+            first = seen.setdefault(config_digest(cfg), run)
+            if first is not run:  # an earlier run built this config
+                raise ConfigError(f"sweep {self.axis} {first} and {run} build the same config")
 
 
 @dataclass(frozen=True)

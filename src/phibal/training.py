@@ -6,9 +6,11 @@ alpha * E, backpropagates, and applies the optimizer. The graph holds only
 fused nodes: per layer the router's three and one for the experts with the
 residual add, then the head, the task loss, one `weighted_sum` per
 auxiliary loss and their total. Runs are fully deterministic under a fixed
-config and can be snapshotted and resumed bit-exactly. A snapshot holds
-state only; the config passed to `Trainer.restore` supplies every
-hyperparameter.
+config and can be snapshotted and resumed bit-exactly. A snapshot (format
+v3) holds state only, as copies of the trainer's arrays: the optimizer's
+arenas, the per-layer EMAs (and loss-free biases), the selection-count ring
+and the eval rows; the config passed to `Trainer.restore` supplies every
+hyperparameter. `save_snapshot` writes it as ``.npz``.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ __all__ = [
     "TokenBudget",
 ]
 
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 
 
 class NumericalError(RuntimeError):
@@ -132,17 +134,17 @@ class Optimizer:
         self.params = params
         self.total_steps = total_steps
         self.t = 0
-        self._starts = np.cumsum([0] + [p.value.size for p in params]).tolist()
-        self.flat = np.empty(self._starts[-1])
+        starts = np.cumsum([0] + [p.value.size for p in params]).tolist()
+        self.flat = np.empty(starts[-1])
         self.grad = np.empty_like(self.flat)  # every view is written before it is read
-        for p, view, out in zip(params, self._views(self.flat), self._views(self.grad)):
+        for p, lo, hi in zip(params, starts, starts[1:]):
+            view = self.flat[lo:hi].reshape(p.shape[::-1]).T
             view[...] = p.value
-            p.value, p.out = view, out
+            p.value, p.out = view, self.grad[lo:hi].reshape(p.shape[::-1]).T
         if cfg.kind == "adamw":
             self.m = np.zeros_like(self.flat)
             self.v = np.zeros_like(self.flat)
 
-        starts = self._starts
         runs: list[list[int]] = []
         for i in range(len(params)):
             if runs and starts[i + 1] - starts[runs[-1][0]] <= _CHUNK:
@@ -154,14 +156,6 @@ class Optimizer:
         self._chunks = [
             (slice(starts[run[0]], starts[run[-1] + 1]), [params[i] for i in run])
             for run in runs
-        ]
-
-    def _views(self, flat: np.ndarray) -> list[np.ndarray]:
-        """Each parameter's column-major view of an arena-sized array."""
-        starts = self._starts
-        return [
-            flat[lo:hi].reshape(p.shape[::-1]).T
-            for p, lo, hi in zip(self.params, starts, starts[1:])
         ]
 
     def learning_rate(self) -> float:
@@ -216,28 +210,6 @@ class Optimizer:
                 np.add(tmp, tmp2, out=tmp)
             np.multiply(lr, tmp, out=tmp)
             np.subtract(p, tmp, out=p)
-
-    def to_snapshot(self) -> dict:
-        snap = {"t": self.t}
-        if self.cfg.kind == "adamw":
-            snap["m"] = [a.tolist() for a in self._views(self.m)]
-            snap["v"] = [a.tolist() for a in self._views(self.v)]
-        return snap
-
-    def restore(self, snap: dict) -> None:
-        """Load a snapshot's step count and moments into the flat arrays.
-
-        Raises ValueError naming the first moment list or array that does
-        not fit the parameters.
-        """
-        if ("m" in snap) != (self.cfg.kind == "adamw"):
-            raise ValueError(f"snapshot optimizer state does not fit a {self.cfg.kind} optimizer")
-        if self.cfg.kind == "adamw":
-            for key, flat in (("m", self.m), ("v", self.v)):
-                _check_count(f"optimizer {key} arrays", snap[key], self.params)
-                for i, (view, stored) in enumerate(zip(self._views(flat), snap[key])):
-                    view[...] = _load_array(f"optimizer {key} {i}", stored, view)
-        self.t = snap["t"]
 
 
 # -- model -------------------------------------------------------------------------
@@ -384,8 +356,11 @@ class Trainer:
         self.optimizer = Optimizer(config.optimizer, self.params, config.steps)
         self.step_index = 0
         self.record = RunRecord()
-        # Rolling per-layer selection counts for windowed balance metrics.
-        self._window: list[list[np.ndarray]] = [[] for _ in range(config.model.layers)]
+        # Per-layer selection counts of the last load_window steps, a ring:
+        # step t writes slot (t - 1) % load_window; unwritten slots stay 0.
+        self._window = np.zeros(
+            (config.model.layers, config.load_window, config.model.experts), dtype=np.int64
+        )
         # Held-out batch (reserved step index 0) for loss/accuracy reporting;
         # training steps start at 1 so it is never trained on.
         self._eval_batch = sample_batch(config.corpus, config.eval_tokens, 0)
@@ -428,11 +403,9 @@ class Trainer:
         loss.backward()
         self.optimizer.step()
 
+        slot = (t - 1) % cfg.load_window
         for layer_idx, routing in enumerate(routings):
-            window = self._window[layer_idx]
-            window.append(routing.counts)
-            if len(window) > cfg.load_window:
-                window.pop(0)
+            self._window[layer_idx, slot] = routing.counts
 
         if t % cfg.eval_every == 0:
             self._record_eval(t)
@@ -459,7 +432,7 @@ class Trainer:
     def _record_eval(self, t: int) -> None:
         task_loss, acc, _ = self.evaluate()
         for layer_idx, balancer in enumerate(self.balancers):
-            loads = np.sum(self._window[layer_idx], axis=0)
+            loads = self._window[layer_idx].sum(axis=0)
             m_hash = hashlib.sha256(balancer.m.tobytes()).hexdigest()[:16]
             self.record.rows.append(
                 EvalRow(
@@ -481,81 +454,84 @@ class Trainer:
     # -- snapshots ---------------------------------------------------------------
 
     def snapshot(self) -> dict:
-        return {
+        """Copies of the trainer's state, format v3: the optimizer's value
+        arena ``params`` (each matrix column-major) with each parameter's
+        shape, AdamW's ``moment1``/``moment2`` arenas, the (L, E) ``ema`` and
+        ``loss_free`` ``bias``, the window ring and the eval rows as JSON."""
+        opt = self.optimizer
+        snap = {
             "version": SNAPSHOT_VERSION,
             "step": self.step_index,
-            "params": [p.value.tolist() for p in self.params],
-            "optimizer": self.optimizer.to_snapshot(),
-            "balancers": [
-                {"m": b.m.tolist(), "b": None if b.bias is None else b.bias.tolist()}
-                for b in self.balancers
-            ],
-            "window": [
-                [counts.tolist() for counts in layer_window]
-                for layer_window in self._window
-            ],
-            "rows": [list(r) for r in self.record.rows],
+            "shapes": np.array([p.shape for p in self.params]),
+            "params": opt.flat.copy(),
+            "ema": np.stack([b.m for b in self.balancers]),
+            "window": self._window.copy(),
+            "rows": json.dumps([list(r) for r in self.record.rows]),
         }
+        if opt.cfg.kind == "adamw":
+            snap["moment1"], snap["moment2"] = opt.m.copy(), opt.v.copy()
+        if self.config.balance.mechanism == "loss_free":
+            snap["bias"] = np.stack([b.bias for b in self.balancers])
+        return snap
 
     @classmethod
     def restore(cls, config: TrainConfig, snap: dict) -> Trainer:
         """Rebuild a trainer for ``config`` and load a snapshot's state into it.
 
-        Raises ValueError naming the first mismatch with what the config
-        builds: parameter, balancer or window layer count, an array shape, a
-        window longer than ``load_window``, or optimizer kind.
+        Raises ValueError unless the snapshot holds the arrays of the
+        trainer's own `snapshot`, each of its shape; it names the first
+        parameter whose shape differs.
         """
         if snap.get("version") != SNAPSHOT_VERSION:
             raise ValueError(f"unsupported snapshot version {snap.get('version')!r}")
         trainer = cls(config)
-        _check_count("parameters", snap["params"], trainer.params)
-        _check_count("balancers", snap["balancers"], trainer.balancers)
-        trainer.step_index = snap["step"]
-        for i, (p, stored) in enumerate(zip(trainer.params, snap["params"])):
-            p.value[...] = _load_array(f"parameter {i}", stored, p.value)
-        trainer.optimizer.restore(snap["optimizer"])
-        for i, (balancer, stored) in enumerate(zip(trainer.balancers, snap["balancers"])):
-            balancer.m = _load_array(f"balancer {i} m", stored["m"], balancer.m)
-            balancer.bias = _load_array(f"balancer {i} b", stored["b"], balancer.bias)
-        _check_count("window layers", snap["window"], trainer._window)
-        no_counts = np.zeros(config.model.experts, dtype=np.int64)
-        for i, layer_window in enumerate(snap["window"]):
-            if len(layer_window) > config.load_window:
+        built = trainer.snapshot()
+        if snap.keys() != built.keys():
+            raise ValueError(
+                f"snapshot holds {sorted(snap)}, the {config.optimizer.kind} optimizer and "
+                f"{config.balance.mechanism} mechanism keep {sorted(built)}"
+            )
+        for key, want in built.items():  # "shapes" before "params"
+            have, need = np.shape(snap[key]), np.shape(want)
+            if have != need:
+                raise ValueError(f"snapshot {key} has shape {have}, the config builds {need}")
+            if key == "shapes" and (snap[key] != want).any():
+                i = np.flatnonzero((snap[key] != want).any(axis=1))[0]
                 raise ValueError(
-                    f"snapshot window {i} holds {len(layer_window)} batches, "
-                    f"the config's load_window is {config.load_window}"
+                    f"snapshot parameter {i} has shape {snap[key][i].tolist()}, "
+                    f"the config builds {want[i].tolist()}"
                 )
-            trainer._window[i] = [
-                _load_array(f"window {i} counts {j}", counts, no_counts)
-                for j, counts in enumerate(layer_window)
-            ]
-        trainer.record = RunRecord(rows=[EvalRow(*row) for row in snap["rows"]])
+
+        opt = trainer.optimizer
+        opt.t = trainer.step_index = int(snap["step"])
+        opt.flat[...] = snap["params"]
+        if "moment1" in snap:
+            opt.m[...], opt.v[...] = snap["moment1"], snap["moment2"]
+        for i, balancer in enumerate(trainer.balancers):
+            balancer.m = np.array(snap["ema"][i], dtype=np.float64)
+            if "bias" in snap:
+                balancer.bias[...] = snap["bias"][i]
+        trainer._window[...] = snap["window"]
+        trainer.record = RunRecord(rows=[EvalRow(*row) for row in json.loads(str(snap["rows"]))])
         return trainer
 
     def save_snapshot(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.snapshot(), fh)
+        """Write `snapshot` as ``.npz`` to ``path``, whatever its suffix."""
+        with open(path, "wb") as fh:
+            np.savez(fh, **self.snapshot())
 
     @classmethod
     def load_snapshot(cls, config: TrainConfig, path) -> Trainer:
-        with open(path) as fh:
-            return cls.restore(config, json.load(fh))
-
-
-def _check_count(what: str, stored: list, built: list) -> None:
-    if len(stored) != len(built):
-        raise ValueError(f"snapshot has {len(stored)} {what}, the config builds {len(built)}")
-
-
-def _load_array(what: str, stored, built: np.ndarray | None) -> np.ndarray | None:
-    """A snapshot array, checked against the shape and dtype the config gives it."""
-    dtype = np.float64 if built is None else built.dtype
-    value = None if stored is None else np.asarray(stored, dtype=dtype)
-    shape = None if value is None else value.shape
-    expected = None if built is None else built.shape
-    if shape != expected:
-        raise ValueError(f"snapshot {what} has shape {shape}, the config builds {expected}")
-    return value
+        """Restore from a `save_snapshot` file, read without pickle."""
+        try:
+            with np.load(path, allow_pickle=False) as data:
+                snap = dict(data)
+        except (ValueError, EOFError, TypeError):  # EOFError: empty; TypeError: a bare .npy
+            raise ValueError(
+                f"{path} is not a format v{SNAPSHOT_VERSION} snapshot (.npz arrays); "
+                "format v2 JSON snapshots are not read"
+            ) from None
+        return cls.restore(config, snap)
 
 
 def train(config: TrainConfig) -> RunRecord:

@@ -90,6 +90,18 @@ def test_unknown_keys_rejected_with_context():
         config_from_dict(raw)
 
 
+@pytest.mark.parametrize("body", ["sweep\n", "5\n"])
+def test_scalar_config_root_is_a_config_error(tmp_path, capsys, body):
+    path = tmp_path / "root.yaml"
+    path.write_text(body)
+    with pytest.raises(ConfigError, match="config root must be a mapping"):
+        parse_config(path)
+    sweep = ["sweep", "--config", str(path), "--out", str(tmp_path / "s")]
+    for argv in (["run", "--config", str(path)], sweep):
+        assert main(argv) == EXIT_CONFIG
+        assert "config error: config root must be a mapping" in capsys.readouterr().err
+
+
 def test_missing_file_is_config_error(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         parse_config(tmp_path / "nope.yaml")
@@ -306,6 +318,21 @@ def test_sweep_values_are_checked_when_the_plan_is_built(
     assert not (tmp_path / "s").exists()
 
 
+@pytest.mark.parametrize(
+    "axis, values, seeds",
+    [("batch", (64, 64.0), (0,)), ("eta", (1, 1.0), (0,)), ("phi", ("neg_shannon",), (0, 0))],
+)
+def test_plan_rejects_two_runs_of_one_config(tmp_path, capsys, axis, values, seeds):
+    # Accepted, both runs wrote one run_<digest>.csv and the summary counted it twice.
+    path = write_tiny_plan(tmp_path, axis=axis, values=values, seeds=seeds)
+    with pytest.raises(ConfigError, match="build the same config"):
+        parse_config(path)
+    assert main(["sweep", "--config", path, "--out", str(tmp_path / "s")]) == EXIT_CONFIG
+    first, second = f"value {values[0]} seed {seeds[0]}", f"value {values[-1]} seed {seeds[-1]}"
+    assert f"{first} and {second}" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
 def test_deterministic_rerun_is_byte_identical(tmp_path, monkeypatch):
     monkeypatch.setenv("PHIBAL_DETERMINISTIC", "1")
     plan_path = write_tiny_plan(tmp_path)
@@ -505,6 +532,10 @@ def test_cli_rejects_negative_seeds_and_nonpositive_compute(tmp_path):
         assert main(["run", "--config", str(bad)]) == EXIT_CONFIG
     for compute in ("0", "-1", "nan", "inf"):
         assert main(["budget", compute]) == EXIT_CONFIG
+    plan, out = write_tiny_plan(tmp_path), str(tmp_path / "s")
+    for jobs in ("0", "-3"):
+        assert main(["sweep", "--config", plan, "--out", out, "--jobs", jobs]) == EXIT_CONFIG
+    assert not (tmp_path / "s").exists()
 
 
 def test_cli_run_rejects_plan(tmp_path):

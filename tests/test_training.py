@@ -240,7 +240,7 @@ def test_flat_optimizer_matches_per_array_formula_bitwise(kind):
                 assert p.value.tobytes() == want.tobytes()
 
 
-def test_parameters_are_views_of_the_arena():
+def test_parameters_are_views_of_the_arena(tmp_path):
     # Matrices are stored column-major, so each `.value.T` is the arena
     # itself, and backward leaves every gradient in the gradient arena.
     def check_storage(trainer):
@@ -257,15 +257,17 @@ def test_parameters_are_views_of_the_arena():
     check_storage(trainer)
     for p in trainer.params:
         assert p.grad is None or np.shares_memory(p.grad, trainer.optimizer.grad)
+    slot = (trainer.step_index - 1) % cfg.load_window
     for layer, window in zip(trainer.model.layers, trainer._window):
-        counts = window[-1]  # the last step's selections
+        counts = window[slot]  # the last step's selections
         assert layer.w_router.grad is not None
         for e, (w1, w2) in enumerate(zip(layer.w1, layer.w2)):
             if counts[e]:
                 assert w1.grad is w1.out and w2.grad is w2.out
             else:
                 assert w1.grad is None and w2.grad is None
-    resumed = Trainer.restore(cfg, json.loads(json.dumps(trainer.snapshot())))
+    trainer.save_snapshot(tmp_path / "snap.npz")
+    resumed = Trainer.load_snapshot(cfg, tmp_path / "snap.npz")
     check_storage(resumed)
     for p, q in zip(resumed.params, trainer.params):
         assert p.value.tobytes() == q.value.tobytes()
@@ -448,19 +450,43 @@ def test_nan_loss_aborts_with_step_and_snapshot():
     assert "params" in err.value.snapshot
 
     # The snapshot is the consistent state after the last good step.
-    snap = json.loads(json.dumps(err.value.snapshot))
+    snap = err.value.snapshot
     assert snap["step"] == err.value.step - 1
     fresh = Trainer(cfg)
     with np.errstate(all="ignore"):
         for _ in range(err.value.step - 1):
             fresh.step()
-    for stored, bal in zip(snap["balancers"], fresh.balancers):
-        assert np.asarray(stored["m"]).tobytes() == bal.m.tobytes()
+    for stored, bal in zip(snap["ema"], fresh.balancers):
+        assert stored.tobytes() == bal.m.tobytes()
     resumed = Trainer.restore(cfg, snap)
     with np.errstate(all="ignore"):
         with pytest.raises(NumericalError) as again:
             resumed.step()
     assert again.value.step == err.value.step
+
+
+def test_numerical_error_snapshot_resumes_through_a_file(tmp_path):
+    cfg = with_seed(
+        short_config(optimizer=OptimizerConfig(kind="sgd", lr=1e9, warmup_steps=0)), 7
+    )
+    trainer = Trainer(cfg)
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericalError) as err:
+            trainer.run()
+    # The rolled-back trainer saves exactly the error's snapshot.
+    path = tmp_path / "failed_snapshot.json"
+    trainer.save_snapshot(path)
+    with np.load(path, allow_pickle=False) as data:
+        assert sorted(data) == sorted(err.value.snapshot)
+        for key, value in err.value.snapshot.items():
+            assert data[key].tobytes() == np.asarray(value).tobytes()
+    resumed = Trainer.load_snapshot(cfg, path)
+    assert resumed.step_index == resumed.optimizer.t == err.value.step - 1
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericalError) as again:
+            resumed.step()
+    assert again.value.step == err.value.step
+    assert again.value.snapshot["params"].tobytes() == err.value.snapshot["params"].tobytes()
 
 
 def test_live_trainer_retries_the_failing_step():
@@ -478,7 +504,7 @@ def test_live_trainer_retries_the_failing_step():
 
 
 @pytest.mark.parametrize("mechanism", ["phi", "loss_free"])
-def test_snapshot_resume_is_bit_exact(mechanism):
+def test_snapshot_resume_is_bit_exact(mechanism, tmp_path):
     balance = BalanceConfig(mechanism=mechanism)
     cfg = with_seed(TrainConfig(steps=120, eval_every=20, balance=balance), 5)
     full = Trainer(cfg)
@@ -487,8 +513,10 @@ def test_snapshot_resume_is_bit_exact(mechanism):
     half = Trainer(cfg)
     while half.step_index < 60:
         half.step()
-    snap = json.loads(json.dumps(half.snapshot()))  # force a serialization pass
-    resumed = Trainer.restore(cfg, snap)
+    path = tmp_path / "half_snapshot.json"  # .npz whatever the suffix
+    half.save_snapshot(path)
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+    resumed = Trainer.load_snapshot(cfg, path)
     resumed.run()
     assert resumed.record.digest() == full.record.digest()
     for a, b in zip(resumed.params, full.params):
@@ -504,11 +532,11 @@ def test_restore_rejects_snapshot_of_another_config():
     two_layers = with_seed(short_config(), 1)
     one_layer = with_seed(short_config(model=ModelConfig(layers=1)), 1)
     snap = Trainer(two_layers).snapshot()
-    with pytest.raises(ValueError, match="parameters"):
+    with pytest.raises(ValueError, match=r"shapes has shape \(35, 2\), the config builds \(18,"):
         Trainer.restore(one_layer, snap)
 
     loss_free = with_seed(short_config(balance=BalanceConfig(mechanism="loss_free")), 1)
-    with pytest.raises(ValueError, match="balancer 0 b"):
+    with pytest.raises(ValueError, match="loss_free mechanism keep .*'bias'"):
         Trainer.restore(loss_free, snap)
 
     sgd = with_seed(short_config(optimizer=OptimizerConfig(kind="sgd")), 1)
@@ -520,22 +548,22 @@ def test_restore_rejects_malformed_moments():
     cfg = with_seed(short_config(), 1)
     trainer = Trainer(cfg)
     trainer.step()
-    snap = json.loads(json.dumps(trainer.snapshot()))
-    assert np.shape(snap["optimizer"]["v"][0]) == (8, 16)
+    snap = trainer.snapshot()
+    assert snap["moment2"].shape == snap["params"].shape
+    assert tuple(snap["shapes"][0]) == (8, 16)
 
-    bad_shape = json.loads(json.dumps(snap))
-    bad_shape["optimizer"]["v"][0] = [[0.0]]
-    with pytest.raises(ValueError, match="optimizer v 0"):
+    bad_shape = dict(snap, moment2=snap["moment2"][:-1])
+    with pytest.raises(ValueError, match="moment2 has shape"):
         Trainer.restore(cfg, bad_shape)
 
-    short = json.loads(json.dumps(snap))
-    short["optimizer"]["m"] = short["optimizer"]["m"][:3]
-    with pytest.raises(ValueError, match="3 optimizer m arrays"):
+    short = dict(snap, shapes=snap["shapes"][:3])
+    with pytest.raises(ValueError, match=r"shapes has shape \(3, 2\), the config builds \(35, 2\)"):
         Trainer.restore(cfg, short)
 
-    swapped = json.loads(json.dumps(snap))
-    swapped["optimizer"]["m"][3] = swapped["optimizer"]["m"][9]  # a w2, not a w1
-    with pytest.raises(ValueError, match="optimizer m 3"):
+    swapped = dict(snap, shapes=snap["shapes"].copy())
+    swapped["shapes"][3] = swapped["shapes"][9]  # a w2, not a w1
+    named = r"parameter 3 has shape \[16, 32\], the config builds \[64, 16\]"
+    with pytest.raises(ValueError, match=named):
         Trainer.restore(cfg, swapped)
 
 
@@ -544,26 +572,36 @@ def test_restore_rejects_malformed_window():
     trainer = Trainer(cfg)
     for _ in range(5):
         trainer.step()
-    snap = json.loads(json.dumps(trainer.snapshot()))
-    assert [len(layer) for layer in snap["window"]] == [5, 5]
+    snap = trainer.snapshot()
+    assert snap["window"].shape == (2, cfg.load_window, 8)
+    assert (snap["window"][:, :5].sum(axis=2) == cfg.batch_tokens * cfg.model.top_k).all()
+    assert not snap["window"][:, 5:].any()  # slots not yet written
 
-    few_experts = json.loads(json.dumps(snap))
-    few_experts["window"][1][2] = [3, 4]
-    with pytest.raises(ValueError, match=r"window 1 counts 2 has shape \(2,\)"):
+    few_experts = dict(snap, window=snap["window"][:, :, :2])
+    with pytest.raises(ValueError, match=r"window has shape \(2, 200, 2\)"):
         Trainer.restore(cfg, few_experts)
 
-    one_layer = json.loads(json.dumps(snap))
-    one_layer["window"] = one_layer["window"][:1]
-    with pytest.raises(ValueError, match="1 window layers"):
+    one_layer = dict(snap, window=snap["window"][:1])
+    with pytest.raises(ValueError, match=r"window has shape \(1, 200, 8\)"):
         Trainer.restore(cfg, one_layer)
 
-    too_long = json.loads(json.dumps(snap))
-    too_long["window"][0] = [snap["window"][0][0]] * (cfg.load_window + 8)
-    with pytest.raises(ValueError, match=f"window 0 holds {cfg.load_window + 8} batches"):
+    too_long = dict(snap, window=np.zeros((2, cfg.load_window + 8, 8), dtype=np.int64))
+    with pytest.raises(ValueError, match=r"window has shape \(2, 208, 8\)"):
         Trainer.restore(cfg, too_long)
 
 
-def test_square_expert_weights_resume_bit_exact():
+def test_restore_rejects_another_load_window():
+    cfg = with_seed(short_config(), 1)
+    trainer = Trainer(cfg)
+    for _ in range(5):
+        trainer.step()
+    snap = trainer.snapshot()
+    built = r"the config builds \(2, 10, 8\)"
+    with pytest.raises(ValueError, match=r"window has shape \(2, 200, 8\), " + built):
+        Trainer.restore(replace(cfg, load_window=10), snap)
+
+
+def test_square_expert_weights_resume_bit_exact(tmp_path):
     # With ffn_dim == dim, w2 is square: a snapshot that mixed up logical and
     # storage layout would still restore, silently transposed.
     cfg = replace(_PIN_BASE, model=ModelConfig(ffn_dim=16))
@@ -572,7 +610,8 @@ def test_square_expert_weights_resume_bit_exact():
     half = Trainer(cfg)
     while half.step_index < 150:
         half.step()
-    resumed = Trainer.restore(cfg, json.loads(json.dumps(half.snapshot())))
+    half.save_snapshot(tmp_path / "snap.npz")
+    resumed = Trainer.load_snapshot(cfg, tmp_path / "snap.npz")
     assert resumed.run().digest() == full.digest()
 
 
@@ -583,6 +622,19 @@ def test_snapshot_rejects_unknown_version():
     snap["version"] = 99
     with pytest.raises(ValueError):
         Trainer.restore(cfg, snap)
+
+
+def test_load_snapshot_rejects_a_v2_json_file(tmp_path):
+    cfg = with_seed(short_config(), 1)
+    path = tmp_path / "old_snapshot.json"
+    v2 = {"version": 2, "step": 0, "params": [], "optimizer": {"t": 0}, "balancers": [],
+          "window": [], "rows": []}
+    path.write_text(json.dumps(v2))
+    with pytest.raises(ValueError, match="v3") as err:
+        Trainer.load_snapshot(cfg, path)
+    assert str(path) in str(err.value)
+    assert err.value.__suppress_context__  # numpy's "load it unsafely" hint stays out
+    assert "unsafe" not in str(err.value)
 
 
 def test_dense_baseline_learns_domains():
