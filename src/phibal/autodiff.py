@@ -4,7 +4,8 @@ Every operation builds a `Node` holding the forward value (a numpy array),
 references to its parent nodes, and one vector-Jacobian closure per parent.
 `backward()` replays the graph in reverse topological order and accumulates
 adjoints via the chain rule. The engine is deliberately small: first-order
-gradients only, float64 only, single-threaded per graph.
+gradients only, float64 only. Graphs are built and walked on one thread;
+only `_split` hands disjoint slabs of one node's work to worker threads.
 
 There is no generic arithmetic. Besides `linear` and `weighted_sum`, the
 one reduction (<x, c> with c constant), each op of a training step (the
@@ -17,6 +18,8 @@ array or a `constant`, which receives no adjoint.
 from __future__ import annotations
 
 import itertools
+import os
+import threading
 from typing import Callable
 
 import numpy as np
@@ -48,6 +51,93 @@ _CHECKED = False
 # (its arena, gradient and moment slices and two temporaries) or a group of
 # the expert node's slabs then stays in cache while it is worked on.
 _CHUNK = 1 << 15
+
+
+# Worker threads `_split` may use besides the caller: one per usable core
+# but the caller's own.
+_WORKERS = len(os.sched_getaffinity(0)) - 1
+# Fewest items a slice gets. Handing a worker one cache-sized item costs
+# more than it saves: the two-group expert node of a 512-token eval at the
+# acceptance shape ran slower split than on one thread.
+_MIN_SLICE = 2
+_workers: list[_Worker] = []
+_busy = threading.Lock()  # held by the one caller the workers serve
+
+
+class _Worker:
+    """A daemon thread that runs one slice of a `_split` call at a time."""
+
+    def __init__(self) -> None:
+        self.task: tuple | None = None
+        self.result = None
+        self.ready = threading.Lock()  # released when a task is set
+        self.done = threading.Lock()  # released when its result is set
+        self.ready.acquire()
+        self.done.acquire()
+        self.thread = threading.Thread(target=self._serve, daemon=True)
+        self.thread.start()
+
+    def _serve(self) -> None:
+        while True:
+            self.ready.acquire()
+            fn, items, args, err = self.task
+            try:
+                with np.errstate(**err):
+                    self.result = [fn(item, *args) for item in items]
+            except BaseException as exc:  # handed to the caller, which raises it
+                self.result = exc
+            self.done.release()
+
+
+def _forget_workers() -> None:
+    """In a forked child the workers do not exist: start afresh."""
+    global _workers, _busy
+    _workers, _busy = [], threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_workers)
+
+
+def _split(fn: Callable, items: list, *args) -> list:
+    """``[fn(item, *args) for item in items]``, the items split across threads.
+
+    The first of up to ``_WORKERS + 1`` contiguous slices of at least
+    ``_MIN_SLICE`` items runs on the calling thread, each other on a
+    persistent daemon worker, started on first use, under the caller's
+    `np.geterr()`. Results come back in item order, and a worker's
+    exception is raised here once every slice has finished. With too few
+    items for two slices, no worker, or the workers serving another call (a
+    call from another thread, or from inside a slice), it is the plain loop.
+    Each ``fn`` call must write only memory no other item touches and build
+    no `Node`, so the result cannot depend on scheduling.
+    """
+    parts = min(_WORKERS + 1, len(items) // _MIN_SLICE)
+    if parts < 2 or not _busy.acquire(blocking=False):
+        return [fn(item, *args) for item in items]
+    try:
+        while len(_workers) < parts - 1:
+            _workers.append(_Worker())
+        handed = _workers[: parts - 1]
+        bounds = [len(items) * i // parts for i in range(parts + 1)]
+        err = np.geterr()
+        for worker, lo, hi in zip(handed, bounds[1:], bounds[2:]):
+            worker.task = (fn, items[lo:hi], args, err)
+            worker.ready.release()
+        try:
+            results = [fn(item, *args) for item in items[: bounds[1]]]
+        finally:
+            slices = []
+            for worker in handed:  # the slices write the caller's arrays
+                worker.done.acquire()
+                slices.append(worker.result)
+                worker.task = worker.result = None
+    finally:
+        _busy.release()
+    for result in slices:
+        if isinstance(result, BaseException):
+            raise result
+        results.extend(result)
+    return results
 
 
 def set_checked(enabled: bool) -> None:

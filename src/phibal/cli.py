@@ -9,7 +9,6 @@ Verbs:
 Exit codes: 0 success, 1 config or argument error, 2 numerical failure (a
 non-finite loss or a potential map leaving its domain), 3 check failure.
 Any other exception propagates.
-Setting PHIBAL_DETERMINISTIC=1 forces single-job sweep execution.
 """
 
 from __future__ import annotations

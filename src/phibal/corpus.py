@@ -120,7 +120,11 @@ def sample_batch(
         mixture = np.asarray(spec.mixture_schedule(step), dtype=np.float64)
         _check_simplex(mixture, spec.n_domains, f"mixture_schedule({step})")
     rng = np.random.default_rng((spec.seed, _BATCH_STREAM, step))
-    domain_ids = rng.choice(spec.n_domains, size=n_tokens, p=mixture)
+    # What `rng.choice(n_domains, n_tokens, p=mixture)` draws, bit for bit,
+    # without its checks of a mixture the spec has already checked.
+    cdf = mixture.cumsum()
+    cdf /= cdf[-1]
+    domain_ids = cdf.searchsorted(rng.random(n_tokens), side="right")
     centers = domain_centers(spec)
     x = centers[domain_ids] + spec.cluster_scale * rng.standard_normal(
         (n_tokens, spec.dim)

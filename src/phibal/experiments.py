@@ -49,9 +49,6 @@ CSV_SCHEMA = (
     "seed",
 )
 
-DETERMINISTIC_ENV = "PHIBAL_DETERMINISTIC"
-
-
 # Sweep axis -> the base config with one value applied.
 _AXES = {
     "phi": lambda cfg, v: replace(cfg, balance=replace(cfg.balance, mechanism="phi", phi=v)),
@@ -209,9 +206,6 @@ def run_plan(plan: ExperimentPlan, out_dir, jobs: int = 1) -> list[RunOutcome]:
         probe.unlink()
     except OSError as exc:
         raise ConfigError(f"output directory {out} is not writable: {exc}") from exc
-
-    if os.environ.get(DETERMINISTIC_ENV) == "1":
-        jobs = 1
 
     job_inputs = [(label, seed, cfg, str(out)) for label, seed, cfg in expand_plan(plan)]
     if jobs > 1 and len(job_inputs) > 1:

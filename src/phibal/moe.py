@@ -11,8 +11,9 @@ and adds the residual input as one more, each with a hand-written backward
 pass. As in grouped-GEMM MoE
 kernels, the experts dispatch tokens by a single sort and loop per expert
 only for the matrix products; the elementwise gate, the weighting and the
-scatter run once per cache-sized group of experts. The tests hold the node
-bit for bit to a plain-numpy per-expert reference.
+scatter run once per cache-sized group of experts, and the groups are
+split across threads. The tests hold the node bit for bit to a plain-numpy
+per-expert reference, and to itself run on one thread.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import _CHUNK, Node, _weight_grad, linear, parameter
+from .autodiff import _CHUNK, Node, _split, _weight_grad, linear, parameter
 
 __all__ = ["RoutingBatch", "MoeLayer"]
 
@@ -186,10 +187,19 @@ class MoeLayer:
         weighting and the scatter to (token, slot) positions run once per
         group. Each token then sums its k terms from 0.0 in slot order,
         which is ascending expert order, so the sum keeps the bits of a
-        dense masked combination; x is added to it last. Parents are x, the routing weights and
-        the active experts' w1/w2 only, so experts with no tokens receive no
-        gradient; one hand-written backward pass, run once however many
-        parents ask for it, serves every parent.
+        dense masked combination; x is added to it last. Parents are x, the
+        routing weights and the active experts' w1/w2 only, so experts with
+        no tokens receive no gradient; one hand-written backward pass, run
+        once however many parents ask for it, serves every parent.
+
+        The groups, forward and backward, are split across the machine's
+        cores by `autodiff._split`; the first slice runs on the caller. A
+        group writes only its own rows of the scatter buffers and of the
+        activations, its own (token, expert) entries of the weights' adjoint
+        and its own experts' gradient arenas; every group does the same
+        arithmetic whichever thread runs it, the node is built on the caller
+        and the weight gradients are collected in group order, so no bit
+        depends on scheduling.
         """
         ffn, k = self.ffn_dim, self.top_k
         n_tokens, dim = x.shape
@@ -210,29 +220,15 @@ class MoeLayer:
                 groups.append([e])
 
         buf = np.empty((n_tokens * k, dim))
-        saved = []  # per group, what its backward reads
-        for group in groups:
-            lo, hi = starts[group[0]], ends[group[-1]]
-            u = xv[tokens[lo:hi]]
-            h = np.empty((hi - lo, 2 * ffn))
-            spans = []
-            for e in group:
-                sl = slice(starts[e] - lo, ends[e] - lo)
-                # C-contiguous like the reference expert's (BLAS rounds a
-                # transposed view differently): an optimizer's arena itself.
-                w1t = np.ascontiguousarray(self.w1[e].value.T)
-                w2t = np.ascontiguousarray(self.w2[e].value.T)
-                np.matmul(u[sl], w1t, out=h[sl])
-                spans.append((sl, e, w1t, w2t))
-            a, b = h[:, :ffn], h[:, ffn:]
-            s = 0.5 * (1.0 + np.tanh(0.5 * a))
-            silu = a * s
-            act = silu * b
-            y = np.empty((hi - lo, dim))
-            for sl, _, _, w2t in spans:
-                np.matmul(act[sl], w2t, out=y[sl])
-            buf[order[lo:hi]] = pair_w[lo:hi] * y
-            saved.append((lo, hi, spans, a, b, s, silu, act, y))
+        # The activations of every group, allocated here rather than by each
+        # slice, so that a worker's allocator arena keeps none of their bulk
+        # (on the wide shape this held 5 MB more peak memory): h, the gate
+        # s, silu(a), act and the expert outputs y.
+        acts = [np.empty((n_tokens * k, width)) for width in (2 * ffn, ffn, ffn, ffn, dim)]
+        # Per group, what its backward reads.
+        saved = _split(
+            self._group_forward, groups, xv, tokens, order, pair_w, starts, ends, buf, acts
+        )
         out = xv + _sum_slots(buf, n_tokens)
 
         parents = (
@@ -247,36 +243,76 @@ class MoeLayer:
         def backward(g: np.ndarray) -> tuple:
             """Every parent's gradient, in parent order, from one pass."""
             if cache.get("g") is not g:
-                # The matmuls take the forms of the tests' plain-numpy
-                # expert reference, so the weight gradients keep its bits;
-                # dx is summed back like the forward output, then added
-                # to g, the residual's share.
                 dbuf = np.empty((n_tokens * k, dim)) if need_dx else None
                 dw = np.zeros_like(wv)
-                d_w1, d_w2 = [], []
-                for lo, hi, spans, a, b, s, silu, act, y in saved:
-                    rows = tokens[lo:hi]
-                    gr = g[rows]
-                    dw[rows, experts[lo:hi]] = (gr * y).sum(axis=1)
-                    dy = gr * pair_w[lo:hi]
-                    d_act = np.empty((hi - lo, ffn))
-                    for sl, e, _, w2t in spans:
-                        d_w2.append(_weight_grad(self.w2[e], act[sl], dy[sl]))
-                        np.matmul(dy[sl], w2t.T, out=d_act[sl])
-                    dh = np.empty((hi - lo, 2 * ffn))
-                    np.multiply(d_act * b, s * (1.0 + a * (1.0 - s)), out=dh[:, :ffn])
-                    np.multiply(d_act, silu, out=dh[:, ffn:])
-                    u = xv[rows]  # gathered again: kept, it would raise peak memory
-                    du = np.empty((hi - lo, dim)) if need_dx else None
-                    for sl, e, w1t, _ in spans:
-                        d_w1.append(_weight_grad(self.w1[e], u[sl], dh[sl]))
-                        if need_dx:
-                            np.matmul(dh[sl], w1t.T, out=du[sl])
-                    if need_dx:
-                        dbuf[order[lo:hi]] = du
+                per_group = _split(
+                    self._group_backward, saved, g, xv, tokens, experts, order, pair_w, dw, dbuf
+                )
+                d_w1 = [d for w1s, _ in per_group for d in w1s]
+                d_w2 = [d for _, w2s in per_group for d in w2s]
+                # dx is summed back like the forward output, then added to
+                # g, the residual's share.
                 dx = g + _sum_slots(dbuf, n_tokens) if need_dx else None
                 cache.update(g=g, grads=(dx, dw, *d_w1, *d_w2))
             return cache["grads"]
 
         vjps = tuple(lambda g, i=i: backward(g)[i] for i in range(len(parents)))
         return Node(out, parents, vjps, op="moe_experts")
+
+    def _group_forward(
+        self, group, xv, tokens, order, pair_w, starts, ends, buf, acts
+    ) -> tuple:
+        """One group's experts: writes the group's rows of ``buf`` and of the
+        activations ``acts`` and returns what its backward reads."""
+        ffn = self.ffn_dim
+        lo, hi = starts[group[0]], ends[group[-1]]
+        h, s, silu, act, y = (arr[lo:hi] for arr in acts)
+        u = xv[tokens[lo:hi]]
+        spans = []
+        for e in group:
+            sl = slice(starts[e] - lo, ends[e] - lo)
+            # C-contiguous like the reference expert's (BLAS rounds a
+            # transposed view differently): an optimizer's arena itself.
+            w1t = np.ascontiguousarray(self.w1[e].value.T)
+            w2t = np.ascontiguousarray(self.w2[e].value.T)
+            np.matmul(u[sl], w1t, out=h[sl])
+            spans.append((sl, e, w1t, w2t))
+        a, b = h[:, :ffn], h[:, ffn:]
+        np.multiply(0.5, 1.0 + np.tanh(0.5 * a), out=s)
+        np.multiply(a, s, out=silu)
+        np.multiply(silu, b, out=act)
+        for sl, _, _, w2t in spans:
+            np.matmul(act[sl], w2t, out=y[sl])
+        buf[order[lo:hi]] = pair_w[lo:hi] * y
+        return lo, hi, spans, a, b, s, silu, act, y
+
+    def _group_backward(
+        self, saved, g, xv, tokens, experts, order, pair_w, dw, dbuf
+    ) -> tuple[list, list]:
+        """One group's share of the backward: writes its (token, expert)
+        entries of ``dw`` and, unless ``dbuf`` is None, its rows of ``dbuf``;
+        returns its w1 and w2 gradients. The matmuls take the forms of the
+        tests' plain-numpy expert reference, so the weight gradients keep
+        its bits."""
+        lo, hi, spans, a, b, s, silu, act, y = saved
+        rows = tokens[lo:hi]
+        gr = g[rows]
+        dw[rows, experts[lo:hi]] = (gr * y).sum(axis=1)
+        dy = gr * pair_w[lo:hi]
+        d_act = np.empty((hi - lo, self.ffn_dim))
+        d_w1, d_w2 = [], []
+        for sl, e, _, w2t in spans:
+            d_w2.append(_weight_grad(self.w2[e], act[sl], dy[sl]))
+            np.matmul(dy[sl], w2t.T, out=d_act[sl])
+        dh = np.empty((hi - lo, 2 * self.ffn_dim))
+        np.multiply(d_act * b, s * (1.0 + a * (1.0 - s)), out=dh[:, : self.ffn_dim])
+        np.multiply(d_act, silu, out=dh[:, self.ffn_dim :])
+        u = xv[rows]  # gathered again: kept, it would raise peak memory
+        du = None if dbuf is None else np.empty((hi - lo, xv.shape[1]))
+        for sl, e, w1t, _ in spans:
+            d_w1.append(_weight_grad(self.w1[e], u[sl], dh[sl]))
+            if du is not None:
+                np.matmul(dh[sl], w1t.T, out=du[sl])
+        if du is not None:
+            dbuf[order[lo:hi]] = du
+        return d_w1, d_w2

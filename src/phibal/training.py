@@ -18,12 +18,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .autodiff import _CHUNK, Node, constant, linear, parameter
+from .autodiff import _CHUNK, Node, _split, constant, linear, parameter
 from .balancer import BalanceConfig, BalancerState, total_loss
 from .corpus import CorpusSpec, sample_batch
 from .metrics import accuracy, gini, max_vio
@@ -127,6 +128,10 @@ class Optimizer:
     ``_CHUNK`` elements (a larger parameter is a chunk of its own), zeroes the
     gradients of parameters that have none and updates the chunk with
     in-place ufuncs in the per-array formula's order, so results keep bits.
+    `autodiff._split` spreads the chunks over the machine's cores; each
+    thread updates its chunks with its own two temporaries, and a chunk
+    touches only its own slices of the arenas, so the bits do not depend on
+    which thread runs it.
     """
 
     def __init__(self, cfg: OptimizerConfig, params: list[Node], total_steps: int) -> None:
@@ -151,12 +156,13 @@ class Optimizer:
                 runs[-1].append(i)
             else:
                 runs.append([i])
-        width = max((starts[r[-1] + 1] - starts[r[0]] for r in runs), default=0)
-        self._tmp, self._tmp2 = np.empty(width), np.empty(width)
         self._chunks = [
             (slice(starts[run[0]], starts[run[-1] + 1]), [params[i] for i in run])
             for run in runs
         ]
+        # Two temporaries of the widest chunk per thread that updates chunks.
+        self._width = max((span.stop - span.start for span, _ in self._chunks), default=0)
+        self._scratch = threading.local()
 
     def learning_rate(self) -> float:
         cfg = self.cfg
@@ -172,44 +178,51 @@ class Optimizer:
     def step(self) -> None:
         self.t += 1
         lr = self.learning_rate()
+        b1, b2 = self.cfg.beta1, self.cfg.beta2
+        _split(self._update, self._chunks, lr, 1.0 - b1**self.t, 1.0 - b2**self.t)
+
+    def _update(self, chunk: tuple, lr: float, c1: float, c2: float) -> None:
+        """Apply one step to a chunk with the calling thread's temporaries."""
+        span, members = chunk
         cfg = self.cfg
         b1, b2 = cfg.beta1, cfg.beta2
-        c1, c2 = 1.0 - b1**self.t, 1.0 - b2**self.t
-        for span, members in self._chunks:
-            for p in members:
-                if p.grad is None:
-                    p.out.fill(0.0)
-                elif p.grad is not p.out:
-                    p.out[...] = p.grad
-            g, p = self.grad[span], self.flat[span]
-            tmp, tmp2 = self._tmp[:g.size], self._tmp2[:g.size]
-            if cfg.kind == "sgd":
-                # p -= lr * g
-                np.multiply(lr, g, out=tmp)
-                np.subtract(p, tmp, out=p)
-                continue
-            m, v = self.m[span], self.v[span]
-            # m = b1 * m + (1 - b1) * g
-            np.multiply(b1, m, out=m)
-            np.multiply(1.0 - b1, g, out=tmp)
-            np.add(m, tmp, out=m)
-            # v = b2 * v + (1 - b2) * g * g
-            np.multiply(b2, v, out=v)
-            np.multiply(1.0 - b2, g, out=tmp)
-            np.multiply(tmp, g, out=tmp)
-            np.add(v, tmp, out=v)
-            # p -= lr * ((m / c1) / (sqrt(v / c2) + eps) + wd * p); a zero wd
-            # is skipped, which can flip only the sign of an exactly-zero update.
-            np.divide(v, c2, out=tmp)
-            np.sqrt(tmp, out=tmp)
-            np.add(tmp, cfg.eps, out=tmp)
-            np.divide(m, c1, out=tmp2)
-            np.divide(tmp2, tmp, out=tmp)
-            if cfg.weight_decay != 0.0:
-                np.multiply(cfg.weight_decay, p, out=tmp2)
-                np.add(tmp, tmp2, out=tmp)
-            np.multiply(lr, tmp, out=tmp)
+        for p in members:
+            if p.grad is None:
+                p.out.fill(0.0)
+            elif p.grad is not p.out:
+                p.out[...] = p.grad
+        scratch = self._scratch
+        if not hasattr(scratch, "tmp"):
+            scratch.tmp, scratch.tmp2 = np.empty(self._width), np.empty(self._width)
+        g, p = self.grad[span], self.flat[span]
+        tmp, tmp2 = scratch.tmp[:g.size], scratch.tmp2[:g.size]
+        if cfg.kind == "sgd":
+            # p -= lr * g
+            np.multiply(lr, g, out=tmp)
             np.subtract(p, tmp, out=p)
+            return
+        m, v = self.m[span], self.v[span]
+        # m = b1 * m + (1 - b1) * g
+        np.multiply(b1, m, out=m)
+        np.multiply(1.0 - b1, g, out=tmp)
+        np.add(m, tmp, out=m)
+        # v = b2 * v + (1 - b2) * g * g
+        np.multiply(b2, v, out=v)
+        np.multiply(1.0 - b2, g, out=tmp)
+        np.multiply(tmp, g, out=tmp)
+        np.add(v, tmp, out=v)
+        # p -= lr * ((m / c1) / (sqrt(v / c2) + eps) + wd * p); a zero wd
+        # is skipped, which can flip only the sign of an exactly-zero update.
+        np.divide(v, c2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        np.add(tmp, cfg.eps, out=tmp)
+        np.divide(m, c1, out=tmp2)
+        np.divide(tmp2, tmp, out=tmp)
+        if cfg.weight_decay != 0.0:
+            np.multiply(cfg.weight_decay, p, out=tmp2)
+            np.add(tmp, tmp2, out=tmp)
+        np.multiply(lr, tmp, out=tmp)
+        np.subtract(p, tmp, out=p)
 
 
 # -- model -------------------------------------------------------------------------

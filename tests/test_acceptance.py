@@ -189,8 +189,7 @@ def test_11_token_budget_calculator():
     verdict(11, "token-budget", f"tpp(1)={tpp:.4f}; size*tokens/C={ratios[0]:.5f}")
 
 
-def test_12_sweep_determinism(tmp_path, monkeypatch):
-    monkeypatch.setenv("PHIBAL_DETERMINISTIC", "1")
+def test_12_sweep_determinism(tmp_path):
     raw = {
         "model": {"layers": 1, "experts": 4, "top_k": 2, "dim": 6, "ffn_dim": 8},
         "balance": {"mechanism": "phi", "phi": "neg_shannon"},

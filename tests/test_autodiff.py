@@ -1,8 +1,11 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from phibal import autodiff
 from phibal.autodiff import (
     Node,
     NonFiniteError,
@@ -175,3 +178,90 @@ def test_checked_mode_rejects_non_finite():
         set_checked(False)
     # Unchecked mode lets the value through.
     assert np.isnan(Node([np.nan]).value[0])
+
+
+# -- splitting work across threads ---------------------------------------------------
+
+
+def _in_thread(call, timeout=30.0):
+    """Run call() on a daemon thread; return its result or exception, failing
+    the test if it has not returned within the timeout."""
+    box = []
+
+    def target():
+        try:
+            box.append(call())
+        except BaseException as exc:
+            box.append(exc)
+
+    runner = threading.Thread(target=target, daemon=True)
+    runner.start()
+    runner.join(timeout)
+    assert not runner.is_alive(), "the call hung"
+    return box[0]
+
+
+@pytest.mark.parametrize("workers", [0, 1, 5])
+def test_split_keeps_item_order_and_writes_disjoint_slots(monkeypatch, workers):
+    # More workers than cores, switched often: every item's write must land
+    # and every result come back in its place.
+    monkeypatch.setattr(autodiff, "_WORKERS", workers)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for n in (0, 1, 2, 7, 40):
+            slots = np.zeros(n)
+
+            def work(i, scale):
+                slots[i] += scale * (i + 1)
+                return i
+
+            results = _in_thread(lambda: autodiff._split(work, list(range(n)), 2.0))
+            assert results == list(range(n))
+            np.testing.assert_array_equal(slots, 2.0 * np.arange(1, n + 1))
+    finally:
+        sys.setswitchinterval(switch)
+
+
+def test_split_raises_a_workers_exception_in_the_caller(monkeypatch):
+    monkeypatch.setattr(autodiff, "_WORKERS", 1)
+    done = []
+
+    def work(i):
+        if i == 3:  # in the worker's slice
+            raise KeyError(f"item {i}")
+        done.append(i)
+        return i
+
+    err = _in_thread(lambda: autodiff._split(work, [0, 1, 2, 3]))
+    assert isinstance(err, KeyError) and "item 3" in str(err)
+    assert sorted(done) == [0, 1, 2]  # every other item ran before it was raised
+    # The worker survives its task's exception.
+    assert _in_thread(lambda: autodiff._split(abs, [-1, -2, -3])) == [1, 2, 3]
+
+
+def test_split_inside_a_slice_runs_as_a_plain_loop(monkeypatch):
+    # The workers are busy with the outer call, so the inner one must not
+    # wait for them.
+    monkeypatch.setattr(autodiff, "_WORKERS", 1)
+
+    def inner(i):
+        return autodiff._split(abs, [-i] * 4)
+
+    nested = _in_thread(lambda: autodiff._split(inner, [1, 2, 3, 4]))
+    assert nested == [[i] * 4 for i in (1, 2, 3, 4)]
+
+
+def test_split_runs_tasks_under_the_callers_error_state(monkeypatch):
+    monkeypatch.setattr(autodiff, "_WORKERS", 1)
+    big = np.array([1e300])
+
+    def square(i):
+        return (big * big)[0] if i else 0.0
+
+    def split_under(over):  # only the last item, in the worker's slice, overflows
+        with np.errstate(over=over):
+            return autodiff._split(square, [0, 0, 0, 1])
+
+    assert isinstance(_in_thread(lambda: split_under("raise")), FloatingPointError)
+    assert _in_thread(lambda: split_under("ignore")) == [0.0, 0.0, 0.0, np.inf]

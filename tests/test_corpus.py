@@ -33,6 +33,25 @@ def test_one_hot_mixture_pins_domain():
     assert np.all(labels == 0)
 
 
+def test_domain_draw_matches_rng_choice_and_leaves_the_same_stream():
+    # sample_batch draws domains by inverse CDF; it must pick what
+    # rng.choice(n, size, p=mixture) picks and consume the same stream,
+    # so the noise drawn after it is the same too.
+    for seed in range(200):
+        meta = np.random.default_rng((seed, 99))
+        n = int(meta.integers(2, 9))
+        weights = meta.random(n) * (meta.random(n) > 0.2)
+        weights[n - 1] += 0.1
+        spec = CorpusSpec(n_domains=n, dim=3, mixture=tuple(weights / weights.sum()), seed=seed)
+        size, step = int(meta.integers(1, 300)), int(meta.integers(0, 50))
+        x, _, dom = sample_batch(spec, size, step)
+        rng = np.random.default_rng((seed, 0, step))
+        want = rng.choice(n, size=size, p=np.asarray(spec.mixture))
+        assert dom.dtype == want.dtype and np.array_equal(dom, want)
+        noise = rng.standard_normal((size, 3))
+        assert x.tobytes() == (domain_centers(spec)[want] + 0.5 * noise).tobytes()
+
+
 def test_mixture_must_be_simplex():
     with pytest.raises(ValueError):
         CorpusSpec(n_domains=2, dim=4, mixture=(0.7, 0.7))

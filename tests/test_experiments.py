@@ -1,16 +1,20 @@
 import csv
+import multiprocessing
 import textwrap
+import threading
 from pathlib import Path
 
 import pytest
 import yaml
 
+from phibal import autodiff
 from phibal.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from phibal.config import (
     ConfigError,
     config_from_dict,
     config_to_dict,
     parse_config,
+    plan_from_dict,
     with_seed,
 )
 from phibal.experiments import (
@@ -25,7 +29,14 @@ from phibal.experiments import (
 )
 from phibal.corpus import CorpusSpec
 from phibal.potentials import DomainError
-from phibal.training import BalanceConfig, NumericalError, TrainConfig, train
+from phibal.training import (
+    BalanceConfig,
+    ModelConfig,
+    NumericalError,
+    TrainConfig,
+    Trainer,
+    train,
+)
 
 TINY = textwrap.dedent(
     """
@@ -333,8 +344,7 @@ def test_plan_rejects_two_runs_of_one_config(tmp_path, capsys, axis, values, see
     assert not (tmp_path / "s").exists()
 
 
-def test_deterministic_rerun_is_byte_identical(tmp_path, monkeypatch):
-    monkeypatch.setenv("PHIBAL_DETERMINISTIC", "1")
+def test_deterministic_rerun_is_byte_identical(tmp_path):
     plan_path = write_tiny_plan(tmp_path)
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     run_plan(parse_config(plan_path), out_a, jobs=4)
@@ -344,6 +354,45 @@ def test_deterministic_rerun_is_byte_identical(tmp_path, monkeypatch):
     assert files_a == files_b
     for name in files_a:
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+def test_process_pool_sweep_after_split_work_matches_serial(tmp_path, monkeypatch):
+    # A wide step leaves a worker thread alive; the pool forks this process,
+    # and each child's 4096-token evals (four groups) split again, so a
+    # child that kept the parent's dead workers would hang.
+    monkeypatch.setattr(autodiff, "_WORKERS", 1)
+    wide = TrainConfig(
+        model=ModelConfig(layers=1, experts=64, top_k=4, dim=64, ffn_dim=128),
+        corpus=CorpusSpec(n_domains=4, dim=64),
+        batch_tokens=1024,
+        steps=1,
+        eval_every=1,
+        eval_tokens=64,
+    )
+    Trainer(wide).step()
+    assert any(w.thread.is_alive() for w in autodiff._workers)
+    raw = yaml.safe_load(TINY)
+    raw["train"]["eval_tokens"] = 4096
+    plan = plan_from_dict({**raw, "sweep": {"axis": "eta", "values": [0.3, 0.7], "seeds": [0, 1]}})
+    outcomes = {}
+
+    def sweep(jobs):
+        outcomes[jobs] = run_plan(plan, tmp_path / str(jobs), jobs=jobs)
+
+    for jobs in (1, 2):
+        runner = threading.Thread(target=sweep, args=(jobs,), daemon=True)
+        runner.start()
+        runner.join(60.0)
+        if runner.is_alive():
+            for child in multiprocessing.active_children():
+                child.kill()  # breaks the pool, so the process can exit
+            pytest.fail(f"the jobs={jobs} sweep hung")
+        assert [oc.error for oc in outcomes[jobs]] == [None] * 4
+    names = sorted(p.name for p in (tmp_path / "1").iterdir())
+    assert "summary.md" in names and len(names) == 5
+    assert names == sorted(p.name for p in (tmp_path / "2").iterdir())
+    for name in names:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
 
 def test_config_digest_distinguishes_configs(tmp_path):

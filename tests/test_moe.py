@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from phibal import autodiff
 from phibal.autodiff import _CHUNK, constant, linear, parameter, weighted_sum
 from phibal.balancer import BalanceConfig, BalancerState, total_loss
 from phibal.checks import finite_diff_gradient, gradient_max_rel_error
@@ -339,6 +340,54 @@ def test_expert_node_matches_per_expert_loop_bitwise(
                 np.testing.assert_array_equal(w1.grad, d_w1[e])
                 np.testing.assert_array_equal(w2.grad, d_w2[e])
                 assert (w1.grad is w1.out) == (w2.grad is w2.out) == held
+
+
+def _wide_expert_pass(layer, x_arr, g):
+    """The expert node's value and every parent's gradient at one input."""
+    for p in layer.parameters():
+        p.grad = None
+    x = parameter(x_arr.copy())
+    routing = layer.route(x, None)
+    y = layer.forward(x, routing)
+    weighted_sum(y, g).backward()
+    grads = [x.grad, routing.weights.grad]
+    grads += [p.grad for p in (*layer.w1, *layer.w2) if p.grad is not None]
+    return y.value, grads
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_expert_node_split_across_threads_keeps_bits(monkeypatch, workers):
+    layer = make_layer(n_experts=64, top_k=4, dim=64, ffn_dim=128, seed=27)
+    Optimizer(OptimizerConfig(), layer.parameters(), 1)
+    rng = np.random.default_rng(28)
+    x_arr = rng.standard_normal((1024, 64))
+    g = rng.standard_normal((1024, 64))
+    monkeypatch.setattr(autodiff, "_WORKERS", 0)
+    serial = _wide_expert_pass(layer, x_arr, g)
+    serial = serial[0], [a.copy() for a in serial[1]]  # w1/w2 grads live in the arena
+    monkeypatch.setattr(autodiff, "_WORKERS", workers)
+    value, grads = _wide_expert_pass(layer, x_arr, g)
+    assert any(w.thread.is_alive() for w in autodiff._workers)
+    np.testing.assert_array_equal(value, serial[0])
+    assert len(grads) == len(serial[1]) > 2
+    for got, want in zip(grads, serial[1]):
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("workers", [0, 1])
+def test_overflow_in_a_split_forward_raises_in_the_caller(monkeypatch, workers):
+    # Only the last expert overflows; with a worker, its group is in the
+    # worker's slice, which must run under the caller's error state.
+    monkeypatch.setattr(autodiff, "_WORKERS", workers)
+    layer = make_layer(n_experts=64, top_k=4, dim=64, ffn_dim=128, seed=27)
+    layer.w1[-1].value *= 1e160
+    x = constant(np.random.default_rng(28).standard_normal((1024, 64)))
+    routing = layer.route(x, None)
+    assert routing.counts[-1] > 0
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        layer.forward(x, routing)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.all(np.isfinite(layer.forward(x, routing).value))
 
 
 # -- the fused router and loss nodes ------------------------------------------------------

@@ -5,6 +5,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from phibal import autodiff
 from phibal.autodiff import _CHUNK, constant, linear, parameter
 from phibal.balancer import total_loss
 from phibal.checks import finite_diff_gradient, gradient_max_rel_error
@@ -238,6 +239,29 @@ def test_flat_optimizer_matches_per_array_formula_bitwise(kind):
             for p, want in zip(params, expected):
                 assert p.value.shape == want.shape
                 assert p.value.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["sgd", "adamw"])
+def test_optimizer_split_across_threads_keeps_bits(monkeypatch, kind):
+    cfg = TrainConfig(
+        model=ModelConfig(layers=1, experts=64, top_k=4, dim=64, ffn_dim=128),
+        corpus=CorpusSpec(n_domains=4, dim=64),
+        optimizer=OptimizerConfig(kind=kind, warmup_steps=0),
+        batch_tokens=1024,
+        steps=3,
+        eval_every=3,
+        eval_tokens=64,
+    )
+    arenas = {}
+    for workers in (0, 1):
+        monkeypatch.setattr(autodiff, "_WORKERS", workers)
+        trainer = Trainer(cfg)
+        assert len(trainer.optimizer._chunks) >= 4
+        trainer.run()
+        opt = trainer.optimizer
+        arenas[workers] = [opt.flat] + ([opt.m, opt.v] if kind == "adamw" else [])
+    for split, serial in zip(arenas[1], arenas[0]):
+        np.testing.assert_array_equal(split, serial)
 
 
 def test_parameters_are_views_of_the_arena(tmp_path):
