@@ -18,6 +18,7 @@ array or a `constant`, which receives no adjoint.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import threading
 from typing import Callable
@@ -53,9 +54,58 @@ _CHECKED = False
 _CHUNK = 1 << 15
 
 
-# Worker threads `_split` may use besides the caller: one per usable core
-# but the caller's own.
-_WORKERS = len(os.sched_getaffinity(0)) - 1
+def _read_words(path: str) -> list[str]:
+    try:
+        with open(path) as fh:
+            return fh.read().split()
+    except OSError:
+        return []
+
+
+def _cpu_quota() -> float:
+    """Cores' worth of CPU time that the tightest cgroup quota (v2
+    ``cpu.max`` or v1 ``cpu.cfs_quota_us``) on this process's cgroup or an
+    ancestor grants it; infinite without one, or where there are no cgroups."""
+    quota = math.inf
+    for entry in _read_words("/proc/self/cgroup"):  # "id:controllers:path"
+        _, controllers, path = (entry.split(":", 2) + ["", ""])[:3]
+        if controllers == "":
+            files = ("/sys/fs/cgroup{}/cpu.max",)
+        elif "cpu" in controllers.split(","):
+            v1 = "/sys/fs/cgroup/cpu{}/cpu.cfs_"
+            files = (v1 + "quota_us", v1 + "period_us")
+        else:
+            continue
+        path = path.rstrip("/")
+        while True:
+            limit = [word for f in files for word in _read_words(f.format(path))]
+            try:
+                cores = float(limit[0]) / float(limit[1])
+            except (IndexError, ValueError):  # no such file, or "max"
+                cores = math.inf
+            if cores > 0:  # v1 writes -1 for no quota
+                quota = min(quota, cores)
+            if not path:
+                break
+            path = path.rpartition("/")[0]
+    return quota
+
+
+# At most this many workers: the benchmark measured one beside the caller,
+# and each keeps its own BLAS buffer and allocator arena.
+_MAX_WORKERS = 3
+
+
+def _worker_count() -> int:
+    """Worker threads `_split` may use besides the caller: one per core this
+    process may use but the caller's own, where its affinity mask (where the
+    OS has one) and a CPU quota, rounded down, both count; at most
+    `_MAX_WORKERS`."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(_MAX_WORKERS, max(1, int(min(cores or 1, _cpu_quota()))) - 1)
+
+
+_WORKERS: int | None = None  # `_worker_count()`, worked out on the first split
 # Fewest items a slice gets. Handing a worker one cache-sized item costs
 # more than it saves: the two-group expert node of a 512-token eval at the
 # acceptance shape ran slower split than on one thread.
@@ -65,28 +115,52 @@ _busy = threading.Lock()  # held by the one caller the workers serve
 
 
 class _Worker:
-    """A daemon thread that runs one slice of a `_split` call at a time."""
+    """A daemon thread that runs the slices handed to it one at a time, in
+    order. A slice goes in as a task tuple and comes back with its result
+    (or exception), so the caller can tell a task's own result from an
+    earlier one's."""
 
     def __init__(self) -> None:
-        self.task: tuple | None = None
-        self.result = None
-        self.ready = threading.Lock()  # released when a task is set
-        self.done = threading.Lock()  # released when its result is set
-        self.ready.acquire()
-        self.done.acquire()
+        import queue  # here: a process that never splits does without it
+
+        self.inbox, self.outbox = queue.SimpleQueue(), queue.SimpleQueue()
         self.thread = threading.Thread(target=self._serve, daemon=True)
         self.thread.start()
 
     def _serve(self) -> None:
         while True:
-            self.ready.acquire()
-            fn, items, args, err = self.task
+            task = self.inbox.get()
+            fn, items, args, err = task
             try:
                 with np.errstate(**err):
-                    self.result = [fn(item, *args) for item in items]
+                    result = [fn(item, *args) for item in items]
             except BaseException as exc:  # handed to the caller, which raises it
-                self.result = exc
-            self.done.release()
+                result = exc
+            self.outbox.put((task, result))
+            # Keep nothing of the call while waiting for the next task: the
+            # arrays it was handed would outlive it.
+            del task, fn, items, args, result
+
+    def result_of(self, task: tuple):
+        """Wait for ``task``'s result, skipping any earlier task's."""
+        while True:
+            done, result = self.outbox.get()
+            if done is task:
+                return result
+
+    def drain(self) -> None:
+        """Wait until every task handed so far has finished, through any
+        further exception (an interrupt, say) while waiting: a slice left
+        running would write into its call's arrays after the call has
+        returned, and so race with the caller's next call."""
+        while True:
+            try:
+                marker = (None, [], (), {})
+                self.inbox.put(marker)
+                self.result_of(marker)
+                return
+            except BaseException:  # the caller raises the first exception
+                pass
 
 
 def _forget_workers() -> None:
@@ -95,23 +169,37 @@ def _forget_workers() -> None:
     _workers, _busy = [], threading.Lock()
 
 
-os.register_at_fork(after_in_child=_forget_workers)
+if hasattr(os, "register_at_fork"):  # there is no fork where it is missing
+    os.register_at_fork(after_in_child=_forget_workers)
+
+
+def _parts(n_items: int) -> int:
+    """Into how many slices `_split` cuts ``n_items`` items; below two, it
+    runs them as a plain loop on the caller."""
+    global _WORKERS
+    parts = n_items // _MIN_SLICE
+    if parts < 2:
+        return parts
+    if _WORKERS is None:
+        _WORKERS = _worker_count()
+    return min(_WORKERS + 1, parts)
 
 
 def _split(fn: Callable, items: list, *args) -> list:
     """``[fn(item, *args) for item in items]``, the items split across threads.
 
-    The first of up to ``_WORKERS + 1`` contiguous slices of at least
-    ``_MIN_SLICE`` items runs on the calling thread, each other on a
-    persistent daemon worker, started on first use, under the caller's
-    `np.geterr()`. Results come back in item order, and a worker's
-    exception is raised here once every slice has finished. With too few
-    items for two slices, no worker, or the workers serving another call (a
-    call from another thread, or from inside a slice), it is the plain loop.
-    Each ``fn`` call must write only memory no other item touches and build
-    no `Node`, so the result cannot depend on scheduling.
+    The first of `_parts` contiguous slices runs on the calling thread, each
+    other on a persistent daemon worker, started on first use, under the
+    caller's `np.geterr()`. Results come back in item order, and a worker's
+    exception is raised here once every slice has finished. Whatever
+    exception leaves the call, an interrupt included, it leaves only after
+    every worker has finished its slice. With fewer than two parts, or the
+    workers serving another call (a call from another thread, or from
+    inside a slice), it is the plain loop. Each ``fn`` call must write only
+    memory no other item touches and build no `Node`, so the result cannot
+    depend on scheduling.
     """
-    parts = min(_WORKERS + 1, len(items) // _MIN_SLICE)
+    parts = _parts(len(items))
     if parts < 2 or not _busy.acquire(blocking=False):
         return [fn(item, *args) for item in items]
     try:
@@ -120,17 +208,16 @@ def _split(fn: Callable, items: list, *args) -> list:
         handed = _workers[: parts - 1]
         bounds = [len(items) * i // parts for i in range(parts + 1)]
         err = np.geterr()
-        for worker, lo, hi in zip(handed, bounds[1:], bounds[2:]):
-            worker.task = (fn, items[lo:hi], args, err)
-            worker.ready.release()
+        tasks = [(fn, items[lo:hi], args, err) for lo, hi in zip(bounds[1:], bounds[2:])]
         try:
+            for worker, task in zip(handed, tasks):
+                worker.inbox.put(task)
             results = [fn(item, *args) for item in items[: bounds[1]]]
-        finally:
-            slices = []
+            slices = [worker.result_of(task) for worker, task in zip(handed, tasks)]
+        except BaseException:
             for worker in handed:  # the slices write the caller's arrays
-                worker.done.acquire()
-                slices.append(worker.result)
-                worker.task = worker.result = None
+                worker.drain()
+            raise
     finally:
         _busy.release()
     for result in slices:

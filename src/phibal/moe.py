@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import _CHUNK, Node, _split, _weight_grad, linear, parameter
+from .autodiff import _CHUNK, Node, _parts, _split, _weight_grad, linear, parameter
 
 __all__ = ["RoutingBatch", "MoeLayer"]
 
@@ -193,13 +193,16 @@ class MoeLayer:
         once however many parents ask for it, serves every parent.
 
         The groups, forward and backward, are split across the machine's
-        cores by `autodiff._split`; the first slice runs on the caller. A
-        group writes only its own rows of the scatter buffers and of the
-        activations, its own (token, expert) entries of the weights' adjoint
-        and its own experts' gradient arenas; every group does the same
-        arithmetic whichever thread runs it, the node is built on the caller
-        and the weight gradients are collected in group order, so no bit
-        depends on scheduling.
+        cores by `autodiff._split` (one worker thread per usable core but
+        the caller's, at most three); the first slice runs on the caller.
+        With too few groups for two slices the forward loops over them
+        itself and each group allocates its own activations. A group writes
+        only its own rows of the scatter buffers and of the activations,
+        its own (token, expert) entries of the weights' adjoint and its own
+        experts' gradient arenas; every group does the same arithmetic
+        whichever thread runs it, the node is built on the caller and the
+        weight gradients are collected in group order, so no bit depends on
+        scheduling.
         """
         ffn, k = self.ffn_dim, self.top_k
         n_tokens, dim = x.shape
@@ -220,15 +223,21 @@ class MoeLayer:
                 groups.append([e])
 
         buf = np.empty((n_tokens * k, dim))
-        # The activations of every group, allocated here rather than by each
-        # slice, so that a worker's allocator arena keeps none of their bulk
-        # (on the wide shape this held 5 MB more peak memory): h, the gate
-        # s, silu(a), act and the expert outputs y.
-        acts = [np.empty((n_tokens * k, width)) for width in (2 * ffn, ffn, ffn, ffn, dim)]
+        # Split, the activations of every group are allocated here rather
+        # than by each slice, so that a worker's allocator arena keeps none
+        # of their bulk (on the wide shape this held 5 MB more peak memory):
+        # h, the gate s, silu(a), act and the expert outputs y.
         # Per group, what its backward reads.
-        saved = _split(
-            self._group_forward, groups, xv, tokens, order, pair_w, starts, ends, buf, acts
-        )
+        if _parts(len(groups)) > 1:
+            acts = [np.empty((n_tokens * k, width)) for width in (2 * ffn, ffn, ffn, ffn, dim)]
+            saved = _split(
+                self._group_forward, groups, xv, tokens, order, pair_w, starts, ends, buf, acts
+            )
+        else:
+            saved = [
+                self._group_forward(group, xv, tokens, order, pair_w, starts, ends, buf, None)
+                for group in groups
+            ]
         out = xv + _sum_slots(buf, n_tokens)
 
         parents = (
@@ -263,10 +272,14 @@ class MoeLayer:
         self, group, xv, tokens, order, pair_w, starts, ends, buf, acts
     ) -> tuple:
         """One group's experts: writes the group's rows of ``buf`` and of the
-        activations ``acts`` and returns what its backward reads."""
+        activations ``acts`` (its own if None) and returns what its backward
+        reads."""
         ffn = self.ffn_dim
         lo, hi = starts[group[0]], ends[group[-1]]
-        h, s, silu, act, y = (arr[lo:hi] for arr in acts)
+        if acts is None:
+            h, y = np.empty((hi - lo, 2 * ffn)), np.empty((hi - lo, xv.shape[1]))
+        else:
+            h, s, silu, act, y = (arr[lo:hi] for arr in acts)
         u = xv[tokens[lo:hi]]
         spans = []
         for e in group:
@@ -278,9 +291,14 @@ class MoeLayer:
             np.matmul(u[sl], w1t, out=h[sl])
             spans.append((sl, e, w1t, w2t))
         a, b = h[:, :ffn], h[:, ffn:]
-        np.multiply(0.5, 1.0 + np.tanh(0.5 * a), out=s)
-        np.multiply(a, s, out=silu)
-        np.multiply(silu, b, out=act)
+        if acts is None:  # operators: a ufunc called with a Python float costs more
+            s = 0.5 * (1.0 + np.tanh(0.5 * a))
+            silu = a * s
+            act = silu * b
+        else:  # the same arithmetic, into the caller's arrays
+            np.multiply(0.5, 1.0 + np.tanh(0.5 * a), out=s)
+            np.multiply(a, s, out=silu)
+            np.multiply(silu, b, out=act)
         for sl, _, _, w2t in spans:
             np.matmul(act[sl], w2t, out=y[sl])
         buf[order[lo:hi]] = pair_w[lo:hi] * y

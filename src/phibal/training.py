@@ -128,10 +128,11 @@ class Optimizer:
     ``_CHUNK`` elements (a larger parameter is a chunk of its own), zeroes the
     gradients of parameters that have none and updates the chunk with
     in-place ufuncs in the per-array formula's order, so results keep bits.
-    `autodiff._split` spreads the chunks over the machine's cores; each
-    thread updates its chunks with its own two temporaries, and a chunk
-    touches only its own slices of the arenas, so the bits do not depend on
-    which thread runs it.
+    `autodiff._split` spreads the chunks over the machine's cores (one
+    worker thread per usable core but the caller's, at most three; a single
+    chunk stays on the caller); each thread updates its chunks with its own
+    two temporaries, and a chunk touches only its own slices of the arenas,
+    so the bits do not depend on which thread runs it.
     """
 
     def __init__(self, cfg: OptimizerConfig, params: list[Node], total_steps: int) -> None:

@@ -1,6 +1,9 @@
 import math
+import signal
 import sys
 import threading
+import time
+import weakref
 
 import numpy as np
 import pytest
@@ -265,3 +268,117 @@ def test_split_runs_tasks_under_the_callers_error_state(monkeypatch):
 
     assert isinstance(_in_thread(lambda: split_under("raise")), FloatingPointError)
     assert _in_thread(lambda: split_under("ignore")) == [0.0, 0.0, 0.0, np.inf]
+
+
+def test_split_workers_keep_nothing_of_a_finished_call(monkeypatch):
+    # A worker waiting for its next task must not hold the last call's
+    # arguments or results: on the wide shape that kept the expert
+    # activations alive and raised peak memory by 23 MB.
+    monkeypatch.setattr(autodiff, "_WORKERS", 1)
+    arena = np.zeros(8)
+    ref = weakref.ref(arena)
+
+    def work(i, out):
+        out[i] = i
+        return out[i : i + 1]  # a view: the result holds the arena too
+
+    assert _in_thread(lambda: len(autodiff._split(work, list(range(8)), arena))) == 8
+    del arena
+    for _ in range(200):  # the worker lets go just after handing back its result
+        if ref() is None:
+            break
+        time.sleep(0.005)
+    assert ref() is None
+
+
+class _Interrupt(BaseException):
+    """Stands for KeyboardInterrupt, which pytest itself would act on."""
+
+
+def _slow_worker_slice(written):
+    """Items 0 and 1 run on the caller, 2 and 3 (slowly) on the worker."""
+
+    def work(i):
+        if i >= 2:
+            time.sleep(0.2)
+        written[i] = i + 1
+        return i
+
+    return work
+
+
+def _assert_workers_in_step():
+    # The next call gets its own results, not a leftover of the last one.
+    for _ in range(3):
+        assert autodiff._split(lambda i: -i, [0, 1, 2, 3, 4]) == [0, -1, -2, -3, -4]
+    assert all(w.outbox.empty() for w in autodiff._workers)
+
+
+@pytest.mark.skipif(
+    not hasattr(signal, "setitimer") or threading.current_thread() is not threading.main_thread(),
+    reason="needs SIGALRM on the main thread",
+)
+def test_split_interrupted_while_waiting_returns_only_after_every_slice(monkeypatch):
+    # A signal handler's exception (Ctrl-C, a timeout) lands while the caller
+    # waits for the worker, and twice more while it waits for the worker to
+    # finish. The first is raised, only once the worker's slice has written
+    # everything, and the workers stay in step for the next call.
+    monkeypatch.setattr(autodiff, "_WORKERS", 1)
+    written = np.zeros(4)
+    fired = []
+
+    def interrupt(signum, frame):
+        fired.append(time.perf_counter())
+        if len(fired) == 3:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+        raise _Interrupt(len(fired))
+
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.05, 0.05)
+        with pytest.raises(_Interrupt) as caught:
+            autodiff._split(_slow_worker_slice(written), [0, 1, 2, 3])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    assert caught.value.args == (1,) and len(fired) == 3
+    np.testing.assert_array_equal(written, [1, 2, 3, 4])
+    _assert_workers_in_step()
+
+
+def test_split_raising_in_the_callers_slice_waits_for_the_workers(monkeypatch):
+    monkeypatch.setattr(autodiff, "_WORKERS", 1)
+    written = np.zeros(4)
+    work = _slow_worker_slice(written)
+
+    def failing(i):
+        if i == 1:
+            raise _Interrupt
+        return work(i)
+
+    assert isinstance(_in_thread(lambda: autodiff._split(failing, [0, 1, 2, 3])), _Interrupt)
+    np.testing.assert_array_equal(written, [1, 0, 3, 4])
+    _in_thread(_assert_workers_in_step)
+
+
+def test_cpu_quota_is_the_tightest_cgroup_limit(monkeypatch):
+    files = {}
+    monkeypatch.setattr(autodiff, "_read_words", lambda path: files.get(path, "").split())
+    assert autodiff._cpu_quota() == math.inf  # no cgroups at all
+    files.update({
+        "/proc/self/cgroup": "0::/a/b\n",
+        "/sys/fs/cgroup/a/b/cpu.max": "max 100000\n",
+        "/sys/fs/cgroup/a/cpu.max": "150000 100000\n",
+        "/sys/fs/cgroup/cpu.max": "400000 100000\n",
+    })
+    assert autodiff._cpu_quota() == 1.5  # on an ancestor
+    files.clear()
+    files.update({
+        "/proc/self/cgroup": "4:memory:/x\n3:cpu,cpuacct:/job\n0::/\n",
+        "/sys/fs/cgroup/cpu/job/cpu.cfs_quota_us": "-1\n",
+        "/sys/fs/cgroup/cpu/job/cpu.cfs_period_us": "100000\n",
+        "/sys/fs/cgroup/cpu/cpu.cfs_quota_us": "250000\n",
+        "/sys/fs/cgroup/cpu/cpu.cfs_period_us": "100000\n",
+    })
+    assert autodiff._cpu_quota() == 2.5  # cgroup v1
+    assert 0 <= autodiff._worker_count() <= autodiff._MAX_WORKERS

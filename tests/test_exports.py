@@ -25,19 +25,21 @@ def test_every_exported_name_resolves():
 def test_cli_import_leaves_optional_modules_unloaded():
     # Only `phibal check`'s solver once needed scipy, only a config file
     # needs yaml and only a parallel sweep needs multiprocessing. Neither the
-    # import nor a step of the acceptance config starts a thread: its one
-    # expert group and one optimizer chunk run on the caller.
+    # import nor a step of the acceptance config starts a thread or works
+    # out the worker count (which reads cgroup files): its one expert group
+    # and one optimizer chunk run on the caller.
     probe = (
         "import sys, threading; threads = threading.active_count(); "
         "import phibal.cli; imported = threading.active_count() - threads; "
         "from phibal.training import TrainConfig, Trainer; trainer = Trainer(TrainConfig()); "
-        "[trainer.step() for _ in range(3)]; "
-        "print(imported, threading.active_count() - threads, sorted(m for m in sys.modules "
-        "if m.split('.')[0] in ('scipy', 'yaml', 'multiprocessing', 'concurrent')))"
+        "[trainer.step() for _ in range(3)]; from phibal import autodiff; "
+        "print(imported, threading.active_count() - threads, autodiff._WORKERS, "
+        "sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('scipy', 'yaml', 'multiprocessing', 'concurrent', 'queue')))"
     )
     src = str(Path(phibal.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
     ).stdout
-    assert out.strip() == "0 0 []"
+    assert out.strip() == "0 0 None []"
