@@ -9,7 +9,7 @@ deterministic trainer plus sweep CLI.
 
 from .autodiff import Node, constant, parameter
 from .balancer import BalanceConfig, BalancerState, stmoe_aux_loss, total_loss
-from .corpus import CorpusSpec, drift_mixture, sample_batch
+from .corpus import CorpusSpec, sample_batch
 from .metrics import accuracy, gini, max_vio, routed_token_ratio
 from .moe import MoeLayer, RoutingBatch
 from .potentials import (
@@ -41,7 +41,6 @@ __all__ = [
     "stmoe_aux_loss",
     "total_loss",
     "CorpusSpec",
-    "drift_mixture",
     "sample_batch",
     "accuracy",
     "gini",

@@ -49,7 +49,8 @@ _EMA_FLOOR = 1e-12
 class BalanceConfig:
     """A run's balancing knobs, shared by every sparse layer.
 
-    ``phi`` is a potential token, required by the ``phi`` mechanism. ``eta``
+    ``phi`` is a potential token, required by the ``phi`` mechanism and
+    stored in canonical form (``lp:p=3.0`` becomes ``lp:p=3``). ``eta``
     is the EMA step size in (0, 1]. ``alpha`` weights the auxiliary losses.
     ``statistic`` selects what feeds the EMA: mean pre-top-k probabilities
     or realized per-token selection frequencies. ``bias_step`` is the
@@ -65,7 +66,8 @@ class BalanceConfig:
 
     def __post_init__(self) -> None:
         check_fields(self, "balance")
-        self.potential()  # a bad token fails here, whatever the mechanism
+        if self.phi:  # a bad token fails here, whatever the mechanism
+            object.__setattr__(self, "phi", PotentialSpec.parse(self.phi).token())
         if self.mechanism == "phi" and not self.phi:
             raise ValueError("phi mechanism needs a potential spec")
 
@@ -111,7 +113,7 @@ class BalancerState:
     def price_vector(self) -> np.ndarray:
         """Potential gradient at the current EMA, floored for entropic domains."""
         m = self.m
-        if self.spec.family in potentials._ENTROPIC:
+        if self.spec.orthant:
             m = np.maximum(m, _EMA_FLOOR)
         # Looked up on the module at call time, so instrumentation that
         # wraps potentials.link also sees training's price computations.

@@ -39,10 +39,10 @@ _NESTED = {
     "corpus": CorpusSpec,
 }
 # Where the file format departs from the dataclass fields. Corpus ``dim``
-# comes from the model and ``mixture_schedule`` is never serialized;
-# `config_to_dict` writes corpus ``centers`` only when it is set.
+# comes from the model; `config_to_dict` writes corpus ``centers`` only when
+# it is set.
 _RENAMED = {"n_domains": "domains"}
-_SKIPPED = {"corpus": {"dim", "mixture_schedule"}, "train": set(_NESTED)}
+_SKIPPED = {"corpus": {"dim"}, "train": set(_NESTED)}
 _CLASSES = {**_NESTED, "train": TrainConfig}
 
 # Section -> {file key: dataclass field}.

@@ -8,15 +8,14 @@ of (seed, step): the same pair always yields the same batch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
 from .schema import check_fields, one_of, within
 
-__all__ = ["CorpusSpec", "sample_batch", "drift_mixture", "domain_centers"]
+__all__ = ["CorpusSpec", "sample_batch", "domain_centers"]
 
 LABEL_RULES = ("domain_id", "linear_teacher")
 
@@ -32,11 +31,9 @@ class CorpusSpec:
 
     ``mixture`` gives the expected fraction of each domain per batch.
     ``centers`` may be provided explicitly; by default they are unit-norm
-    directions drawn from the spec seed. ``mixture_schedule`` (set via
-    drift_mixture) overrides the mixture per step and is never serialized.
-    The center and teacher arrays are built on first use and kept by the
-    spec; they are not fields, so equality and the serialized config ignore
-    them.
+    directions drawn from the spec seed. The center and teacher arrays are
+    built on first use and kept by the spec; they are not fields, so
+    equality and the serialized config ignore them.
     """
 
     n_domains: int = field(metadata=within("[2, inf)"))
@@ -46,7 +43,6 @@ class CorpusSpec:
     label_rule: str = field(default="domain_id", metadata=one_of(LABEL_RULES))
     seed: int = field(default=0, metadata=within("[0, inf)"))
     centers: tuple[tuple[float, ...], ...] | None = None
-    mixture_schedule: Callable[[int], np.ndarray] | None = None
 
     def __post_init__(self) -> None:
         check_fields(self, "corpus")
@@ -54,7 +50,12 @@ class CorpusSpec:
             object.__setattr__(
                 self, "mixture", tuple([1.0 / self.n_domains] * self.n_domains)
             )
-        _check_simplex(np.asarray(self.mixture), self.n_domains, "mixture")
+        w, n = np.asarray(self.mixture), self.n_domains
+        if w.shape != (n,):
+            raise ValueError(f"mixture must have length {n}, got shape {w.shape}")
+        # Negated positive tests: NaN and infinite weights fail them.
+        if not (np.all(w >= 0.0) and abs(float(w.sum()) - 1.0) <= 1e-9):
+            raise ValueError(f"mixture must be finite, nonnegative and sum to 1, got {w.tolist()}")
         if self.centers is not None:
             arr = np.asarray(self.centers)
             if arr.shape != (self.n_domains, self.dim):
@@ -79,14 +80,6 @@ class CorpusSpec:
         teacher = rng.standard_normal(self.dim) / self.dim**0.5
         teacher.flags.writeable = False
         return teacher
-
-
-def _check_simplex(w: np.ndarray, n: int, name: str) -> None:
-    if w.shape != (n,):
-        raise ValueError(f"{name} must have length {n}, got shape {w.shape}")
-    # Negated positive tests: NaN and infinite weights fail them.
-    if not (np.all(w >= 0.0) and abs(float(w.sum()) - 1.0) <= 1e-9):
-        raise ValueError(f"{name} must be finite, nonnegative and sum to 1, got {w.tolist()}")
 
 
 def domain_centers(spec: CorpusSpec) -> np.ndarray:
@@ -116,9 +109,6 @@ def sample_batch(
     if n_tokens < 1:
         raise ValueError(f"need at least one token, got {n_tokens}")
     mixture = np.asarray(spec.mixture, dtype=np.float64)
-    if spec.mixture_schedule is not None:
-        mixture = np.asarray(spec.mixture_schedule(step), dtype=np.float64)
-        _check_simplex(mixture, spec.n_domains, f"mixture_schedule({step})")
     rng = np.random.default_rng((spec.seed, _BATCH_STREAM, step))
     # What `rng.choice(n_domains, n_tokens, p=mixture)` draws, bit for bit,
     # without its checks of a mixture the spec has already checked.
@@ -134,10 +124,3 @@ def sample_batch(
     else:
         labels = x @ teacher_weights(spec)
     return x, labels, domain_ids
-
-
-def drift_mixture(
-    spec: CorpusSpec, schedule: Callable[[int], np.ndarray]
-) -> CorpusSpec:
-    """A copy of the spec whose batches follow a step-indexed mixture schedule."""
-    return replace(spec, mixture_schedule=schedule)

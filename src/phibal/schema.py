@@ -3,7 +3,8 @@ metadata, `within` a range or `one_of` some choices. `check_fields`, first in
 each config's ``__post_init__``, makes an int in a float field a float and an
 integral float in an int field an int, so ``eta: 1`` is ``eta: 1.0``. It
 rejects any other type (a bool fits only a bool field) and any value not
-allowed, naming ``section 'field'``. Checks across fields stay by hand.
+allowed, naming ``section 'field'``. `check_value` applies the same rule to
+one value, such as a potential's parameter. Checks across fields stay by hand.
 """
 
 from __future__ import annotations
@@ -48,13 +49,19 @@ def _coerce(kind: str, v):
     return v if fits else _WRONG
 
 
+def check_value(section: str, name: str, kind: str, meta, raw):
+    """``raw`` coerced to the annotation ``kind``, once it passes ``meta``'s test."""
+    value = _coerce(kind, raw) if kind in _NOUNS else raw
+    if value is _WRONG:
+        raise ValueError(f"{section} {name!r} must be {_NOUNS[kind]}, got {raw!r}")
+    if "test" in meta and not meta["test"](value):
+        raise ValueError(f"{section} {name!r} must {meta['must']}, got {raw!r}")
+    return value
+
+
 def check_fields(obj, section: str) -> None:
     for f in fields(obj):
-        meta, raw = f.metadata, getattr(obj, f.name)
-        value = _coerce(f.type, raw) if f.type in _NOUNS else raw
-        if value is _WRONG:
-            raise ValueError(f"{section} {f.name!r} must be {_NOUNS[f.type]}, got {raw!r}")
-        if "test" in meta and not meta["test"](value):
-            raise ValueError(f"{section} {f.name!r} must {meta['must']}, got {raw!r}")
+        raw = getattr(obj, f.name)
+        value = check_value(section, f.name, f.type, f.metadata, raw)
         if value is not raw:
             object.__setattr__(obj, f.name, value)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from phibal.corpus import CorpusSpec, domain_centers, drift_mixture, sample_batch, teacher_weights
+from phibal.corpus import CorpusSpec, domain_centers, sample_batch, teacher_weights
 
 
 def test_same_seed_step_is_bit_identical():
@@ -113,64 +113,3 @@ def test_explicit_centers_are_used():
     np.testing.assert_array_equal(x, np.asarray(centers)[dom])
     with pytest.raises(ValueError):
         CorpusSpec(n_domains=2, dim=3, centers=centers)
-
-
-# -- drift -------------------------------------------------------------------------
-
-
-def test_constant_schedule_matches_base_spec():
-    spec = CorpusSpec(n_domains=3, dim=4, seed=5)
-    drifted = drift_mixture(spec, lambda step: np.full(3, 1.0 / 3.0))
-    for step in (1, 7, 20):
-        a = sample_batch(spec, 50, step)
-        b = sample_batch(drifted, 50, step)
-        for left, right in zip(a, b):
-            np.testing.assert_array_equal(left, right)
-
-
-def test_alternating_one_hot_schedule():
-    spec = CorpusSpec(n_domains=4, dim=4, seed=6)
-
-    def schedule(step):
-        w = np.zeros(4)
-        w[step % 4] = 1.0
-        return w
-
-    drifted = drift_mixture(spec, schedule)
-    counts = np.zeros(4)
-    for step in range(1000):
-        _, _, dom = sample_batch(drifted, 16, step)
-        per_batch = np.bincount(dom, minlength=4) / 16.0
-        assert per_batch.max() == 1.0  # each batch fully skewed
-        counts += per_batch
-    long_run = counts / 1000
-    np.testing.assert_allclose(long_run, np.full(4, 0.25), atol=0.01)
-
-
-def test_linear_interpolation_schedule_drifts_monotonically():
-    spec = CorpusSpec(n_domains=2, dim=4, seed=7)
-    start, end = np.array([0.9, 0.1]), np.array([0.1, 0.9])
-    n_steps = 900
-
-    def schedule(step):
-        t = step / n_steps
-        return (1 - t) * start + t * end
-
-    drifted = drift_mixture(spec, schedule)
-    chunk_freqs = []
-    for chunk in range(3):
-        count = 0
-        total = 0
-        for step in range(chunk * 300, (chunk + 1) * 300):
-            _, _, dom = sample_batch(drifted, 64, step)
-            count += int((dom == 1).sum())
-            total += 64
-        chunk_freqs.append(count / total)
-    assert chunk_freqs[0] < chunk_freqs[1] < chunk_freqs[2]
-
-
-def test_non_simplex_schedule_is_rejected():
-    spec = CorpusSpec(n_domains=2, dim=4, seed=8)
-    drifted = drift_mixture(spec, lambda step: np.array([0.8, 0.8]))
-    with pytest.raises(ValueError):
-        sample_batch(drifted, 8, 1)

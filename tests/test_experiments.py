@@ -331,7 +331,12 @@ def test_sweep_values_are_checked_when_the_plan_is_built(
 
 @pytest.mark.parametrize(
     "axis, values, seeds",
-    [("batch", (64, 64.0), (0,)), ("eta", (1, 1.0), (0,)), ("phi", ("neg_shannon",), (0, 0))],
+    [
+        ("batch", (64, 64.0), (0,)),
+        ("eta", (1, 1.0), (0,)),
+        ("phi", ("neg_shannon",), (0, 0)),
+        ("phi", ("lp:p=3", "lp:p=3.0"), (0,)),
+    ],
 )
 def test_plan_rejects_two_runs_of_one_config(tmp_path, capsys, axis, values, seeds):
     # Accepted, both runs wrote one run_<digest>.csv and the summary counted it twice.

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -44,10 +45,13 @@ def interior_simplex(rng, n, floor=1e-3):
         "soft_l1:delta=inf",
         "pseudo_huber:delta=inf",
         "log_cosh:beta=inf",
+        dict(family="log_cosh", beta=True),
+        dict(family="lp", p="3"),
     ],
 )
 def test_invalid_parameters_rejected(kwargs):
-    with pytest.raises(ValueError):
+    family = kwargs.partition(":")[0] if isinstance(kwargs, str) else kwargs["family"]
+    with pytest.raises(ValueError, match=family):
         if isinstance(kwargs, str):
             PotentialSpec.parse(kwargs)
         else:
@@ -81,6 +85,8 @@ def test_token_grammar_rejects_bad_tokens():
         PotentialSpec.parse("lp")
     with pytest.raises(ValueError):
         PotentialSpec.parse("lp:q=3")
+    with pytest.raises(ValueError, match="repeated parameter 'p'"):
+        PotentialSpec.parse("lp:p=3,p=4")
 
 
 def test_parse_inf_exponent():
@@ -156,6 +162,24 @@ def test_renyi_aux_weight_formula():
         assert w[i] == pytest.approx(fd, rel=1e-5)
 
 
+def test_catalog_maps_are_bit_pinned():
+    # Every map of every catalog family, byte for byte, on seeded interior
+    # points: a refactor of the family definitions must keep each expression
+    # and its order of operations.
+    rng = np.random.default_rng(29)
+    h = hashlib.sha256()
+    for spec in CATALOG:
+        h.update(spec.token().encode())
+        for _ in range(8):
+            m = interior_simplex(rng, 5)
+            q = link(spec, m)
+            h.update(np.float64(value(spec, m)).tobytes())
+            h.update(q.tobytes())
+            h.update(np.float64(conjugate_value(spec, q)).tobytes())
+            h.update(inverse_link(spec, q).tobytes())
+    assert h.hexdigest()[:16] == "df277c284cf33b47"
+
+
 # -- domain handling ----------------------------------------------------------------------
 
 
@@ -169,8 +193,26 @@ def test_entropic_negative_entry_is_domain_error(family):
 @pytest.mark.parametrize("family", ["neg_shannon", "tsallis", "renyi"])
 def test_entropic_zero_entry_link_error_carries_index(family):
     spec = next(s for s in CATALOG if s.family == family)
-    with pytest.raises(DomainError) as err:
+    with pytest.raises(DomainError, match=f"^{family}: entry 0.0 at index 1 ") as err:
         link(spec, [0.5, 0.0, 0.5])
+    assert err.value.index == 1
+
+
+@pytest.mark.parametrize(
+    "family, good, bad",
+    [
+        ("soft_l1", 0.5, 1.0),
+        ("pseudo_huber", 0.5, -1.0),
+        ("log_cosh", 0.5, 1.5),
+        ("softplus", 0.5, 0.0),
+        ("renyi", -0.5, 0.0),
+        ("tsallis", 0.5, -10.0),
+    ],
+)
+def test_inverse_link_rejects_prices_outside_its_domain(family, good, bad):
+    spec = next(s for s in CATALOG if s.family == family)
+    with pytest.raises(DomainError, match=f"^{family}: price .* at index 1 ") as err:
+        inverse_link(spec, [good, bad, good])
     assert err.value.index == 1
 
 
