@@ -50,7 +50,8 @@ class BalanceConfig:
     """A run's balancing knobs, shared by every sparse layer.
 
     ``phi`` is a potential token, required by the ``phi`` mechanism and
-    stored in canonical form (``lp:p=3.0`` becomes ``lp:p=3``). ``eta``
+    stored in canonical form (``lp:p=3.0`` becomes ``lp:p=3``); under any
+    other mechanism it is checked, then stored as None. ``eta``
     is the EMA step size in (0, 1]. ``alpha`` weights the auxiliary losses.
     ``statistic`` selects what feeds the EMA: mean pre-top-k probabilities
     or realized per-token selection frequencies. ``bias_step`` is the
@@ -67,7 +68,9 @@ class BalanceConfig:
     def __post_init__(self) -> None:
         check_fields(self, "balance")
         if self.phi:  # a bad token fails here, whatever the mechanism
-            object.__setattr__(self, "phi", PotentialSpec.parse(self.phi).token())
+            token = PotentialSpec.parse(self.phi).token()
+            # Held only where it is read, so one run has one config digest.
+            object.__setattr__(self, "phi", token if self.mechanism == "phi" else None)
         if self.mechanism == "phi" and not self.phi:
             raise ValueError("phi mechanism needs a potential spec")
 

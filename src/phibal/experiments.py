@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, config_to_dict, with_seed
-from .training import NumericalError, RunRecord, TrainConfig, train
+from .training import BalanceConfig, NumericalError, RunRecord, TrainConfig, train
 
 __all__ = [
     "CSV_SCHEMA",
@@ -49,12 +49,16 @@ CSV_SCHEMA = (
     "seed",
 )
 
-# Sweep axis -> the base config with one value applied.
+# Sweep axis -> the base config with one value applied. A base whose
+# mechanism is not ``phi`` holds no potential, so its ``phi`` run takes the
+# default one.
 _AXES = {
     "phi": lambda cfg, v: replace(cfg, balance=replace(cfg.balance, mechanism="phi", phi=v)),
     "eta": lambda cfg, v: replace(cfg, balance=replace(cfg.balance, eta=v)),
     "batch": lambda cfg, v: replace(cfg, batch_tokens=v),
-    "mechanism": lambda cfg, v: replace(cfg, balance=replace(cfg.balance, mechanism=v)),
+    "mechanism": lambda cfg, v: replace(
+        cfg, balance=replace(cfg.balance, mechanism=v, phi=cfg.balance.phi or BalanceConfig.phi)
+    ),
     "statistic": lambda cfg, v: replace(cfg, balance=replace(cfg.balance, statistic=v)),
 }
 
@@ -76,8 +80,9 @@ class ExperimentPlan:
         # A bad value, or two runs that would write one CSV, stops the sweep
         # before any run.
         seen: dict[str, str] = {}
-        for label, seed, cfg in expand_plan(self):
-            run = f"value {label} seed {seed}"
+        written = itertools.product(self.values, self.seeds)
+        for (value, seed), (_, _, cfg) in zip(written, expand_plan(self)):
+            run = f"value {value} seed {seed}"
             first = seen.setdefault(config_digest(cfg), run)
             if first is not run:  # an earlier run built this config
                 raise ConfigError(f"sweep {self.axis} {first} and {run} build the same config")
@@ -99,9 +104,15 @@ def _apply_axis(plan: ExperimentPlan, value, seed: int) -> TrainConfig:
 
 
 def expand_plan(plan: ExperimentPlan) -> list[tuple[str, int, TrainConfig]]:
-    """All (label, seed, config) combinations, in plan order."""
-    pairs = itertools.product(plan.values, plan.seeds)
-    return [(str(v), seed, _apply_axis(plan, v, seed)) for v, seed in pairs]
+    """All (label, seed, config) combinations, in plan order. A run's label
+    is the value its config holds, as its CSV writes it: ``lp:p=3.0`` is
+    labelled ``lp:p=3``."""
+    out = []
+    for value, seed in itertools.product(plan.values, plan.seeds):
+        cfg = _apply_axis(plan, value, seed)
+        held = cfg.batch_tokens if plan.axis == "batch" else getattr(cfg.balance, plan.axis)
+        out.append((str(held), seed, cfg))
+    return out
 
 
 def config_digest(cfg: TrainConfig) -> str:
@@ -116,7 +127,6 @@ def write_run_csv(path, cfg: TrainConfig, record: RunRecord) -> None:
     """Write a run's rows to a temp file beside ``path``, then rename it into
     place, so ``path`` is either absent or complete."""
     path = Path(path)
-    phi_token = cfg.balance.phi if cfg.balance.mechanism == "phi" else ""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", newline="") as fh:
@@ -133,7 +143,7 @@ def write_run_csv(path, cfg: TrainConfig, record: RunRecord) -> None:
                         repr(row.max_vio),
                         repr(row.gini),
                         cfg.balance.mechanism,
-                        phi_token,
+                        cfg.balance.phi or "",
                         repr(cfg.balance.eta),
                         cfg.batch_tokens,
                         cfg.seed,

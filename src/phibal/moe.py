@@ -29,6 +29,9 @@ __all__ = ["RoutingBatch", "MoeLayer"]
 # Added to non-selected logits before the renormalizing softmax; large enough
 # that their probabilities underflow to exactly zero.
 _MASK_VALUE = -1e30
+# Logits below this in magnitude, added to the mask, round to within an ulp
+# of it, far below every selected logit.
+_INSIDE_MASK = 1e13
 
 
 def _softmax_rows(a: np.ndarray) -> np.ndarray:
@@ -40,6 +43,66 @@ def _softmax_rows(a: np.ndarray) -> np.ndarray:
 def _softmax_rows_vjp(y: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Adjoint of the logits of y = softmax_rows(logits) for adjoint g of y."""
     return y * (g - (g * y).sum(axis=1, keepdims=True))
+
+
+def _selected_softmax(lv: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Row softmax of the logits at flat positions ``at``, exactly zero
+    elsewhere: the bits of ``_softmax_rows`` of the logits with
+    ``_MASK_VALUE`` added off ``at``.
+
+    Where every logit is finite and far inside the mask, each masked entry
+    exponentiates to 0.0 and the row max is the selected logits' max, so
+    only the selected logits go through exp (one that underflows is several
+    times slower); the row sums still run over the full rows, in the same
+    order. Other logits take the masked softmax itself.
+    """
+    if np.abs(lv).max() < _INSIDE_MASK:
+        picked = lv.ravel()[at]
+        e = np.zeros(lv.size)
+        e[at] = np.exp(picked - picked.max(axis=1, keepdims=True))
+        e = e.reshape(lv.shape)
+        return e / e.sum(axis=1, keepdims=True)
+    mask = np.full(lv.size, _MASK_VALUE)
+    mask[at] = 0.0
+    return _softmax_rows(lv + mask.reshape(lv.shape))
+
+
+def _stable_top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """(T, k) indices of each row's k largest scores, ascending by index, by
+    a stable argsort on the negated scores: equal scores keep ascending
+    index, and NaN sorts last."""
+    order = np.argsort(-scores, axis=1, kind="stable")
+    return np.sort(order[:, :k], axis=1)
+
+
+def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """`_stable_top_k`'s selections; on wide rows without its full sort.
+
+    A row of at least 8*k scores (the measured crossover) takes k argmax
+    passes over a copy, each pick masked to -inf; argmax takes the first
+    maximum, the sort's rule of ties to the lower index. A pick that comes
+    out NaN or -inf, where argmax and the sort part ways (the row holds a
+    NaN, or fewer than k scores above -inf), sends its row to the sort.
+    """
+    n_rows, width = scores.shape
+    if width < 8 * k:
+        return _stable_top_k(scores, k)
+    work = scores.copy()
+    flat = work.ravel()
+    offsets = np.arange(0, scores.size, width)
+    picks = np.empty((n_rows, k), dtype=np.intp)
+    ok = np.ones(n_rows, dtype=bool)
+    for j in range(k):
+        idx = work.argmax(axis=1)
+        at = offsets + idx
+        ok &= flat[at] > -np.inf
+        flat[at] = -np.inf
+        picks[:, j] = idx
+    picks.sort(axis=1)
+    if not ok.all():
+        redo = np.flatnonzero(~ok)
+        picks[redo] = _stable_top_k(scores[redo], k)
+    return picks
 
 
 def _sum_slots(pairs: np.ndarray, n_tokens: int) -> np.ndarray:
@@ -126,9 +189,11 @@ class MoeLayer:
 
         The optional bias (loss-free balancing) shifts logits for the top-k
         choice only; probabilities and weights always come from the unbiased
-        logits. Ties break toward the lower expert index. For k=1 the weight
-        is the pre-top-k probability of the chosen expert, so the router
-        still receives a gradient.
+        logits. Each token selects its k largest scores, ties going to the
+        lower expert index and NaN ranking last: a stable sort on short rows,
+        k argmax passes on rows of at least 8*k experts (`_top_k`). For k=1
+        the weight is the pre-top-k probability of the chosen expert, so the
+        router still receives a gradient.
 
         Three graph nodes: the logits, p_bar and the weights, each with a
         hand-written VJP (the softmax VJP, fed broadcast(g / T) for p_bar).
@@ -140,26 +205,25 @@ class MoeLayer:
         probs = _softmax_rows(lv)
         n_tokens = x.shape[0]
 
-        scores = lv if bias is None else lv + bias
-        # Stable argsort on negated scores: equal scores keep ascending index.
-        order = np.argsort(-scores, axis=1, kind="stable")
-        selections = np.sort(order[:, : self.top_k], axis=1)
+        selections = _top_k(lv if bias is None else lv + bias, self.top_k)
         counts = np.bincount(selections.ravel(), minlength=self.n_experts)
 
         p_bar = Node(
-            probs.mean(axis=0),
+            probs.sum(axis=0) / n_tokens,  # np.mean's arithmetic, without its wrapper
             (logits,),
             (lambda g: _softmax_rows_vjp(probs, np.broadcast_to(g / n_tokens, probs.shape)),),
             op="p_bar",
         )
-        chosen = np.zeros((n_tokens, self.n_experts), dtype=bool)
-        np.put_along_axis(chosen, selections, True, axis=1)
+        # Flat positions of the selected (token, expert) entries.
+        at = np.arange(0, lv.size, self.n_experts)[:, None] + selections
         if self.top_k == 1:
-            keep = chosen.astype(np.float64)
+            keep = np.zeros(lv.size)
+            keep[at] = 1.0
+            keep = keep.reshape(lv.shape)
             wv = probs * keep
             vjp = lambda g: _softmax_rows_vjp(probs, g * keep)
         else:
-            wv = _softmax_rows(lv + np.where(chosen, 0.0, _MASK_VALUE))
+            wv = _selected_softmax(lv, at)
             vjp = lambda g: _softmax_rows_vjp(wv, g)
         weights = Node(wv, (logits,), (vjp,), op="route_weights")
 

@@ -216,6 +216,36 @@ def test_mechanism_and_statistic_axes(tmp_path):
         assert cfg.balance.statistic in ("probability", "frequency")
 
 
+def test_run_is_labelled_by_the_value_its_config_holds(tmp_path):
+    # Labelled as written, the summary row read lp:p=3.0 and the CSV lp:p=3.
+    plan = parse_config(write_tiny_plan(tmp_path, values=("lp:p=3.0",), seeds=(0,)))
+    ((label, _, cfg),) = expand_plan(plan)
+    assert label == cfg.balance.phi == "lp:p=3"
+    out = tmp_path / "out"
+    (outcome,) = run_plan(plan, out)
+    assert {row["phi"] for row in read_run_csv(outcome.csv_path)} == {label}
+    assert "| `lp:p=3` |" in (out / "summary.md").read_text()
+
+
+def test_a_potential_under_another_mechanism_is_not_part_of_the_config():
+    # Both train alike; keeping phi gave them two digests, so two CSV names.
+    default = TrainConfig(balance=BalanceConfig(mechanism="st_moe"))
+    without = TrainConfig(balance=BalanceConfig(mechanism="st_moe", phi=None))
+    assert default.balance.phi is None
+    assert config_digest(default) == config_digest(without)
+    with pytest.raises(ValueError):  # the token is still checked
+        BalanceConfig(mechanism="st_moe", phi="lp:p=1")
+
+
+def test_mechanism_axis_from_a_base_without_a_potential_runs_the_default():
+    raw = yaml.safe_load(TINY)
+    raw["balance"]["mechanism"] = "st_moe"
+    raw["sweep"] = {"axis": "mechanism", "values": ["phi", "st_moe"], "seeds": [0]}
+    (phi_label, _, phi_cfg), (st_label, _, st_cfg) = expand_plan(plan_from_dict(raw))
+    assert (phi_label, phi_cfg.balance.phi) == ("phi", BalanceConfig().phi)
+    assert (st_label, st_cfg.balance.phi) == ("st_moe", None)
+
+
 def test_csv_round_trip(tmp_path):
     cfg = with_seed(parse_config(write_tiny_config(tmp_path)), 0)
     record = train(cfg)

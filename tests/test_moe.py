@@ -7,7 +7,7 @@ from phibal import autodiff
 from phibal.autodiff import _CHUNK, constant, linear, parameter, weighted_sum
 from phibal.balancer import BalanceConfig, BalancerState, total_loss
 from phibal.checks import finite_diff_gradient, gradient_max_rel_error
-from phibal.moe import MoeLayer
+from phibal.moe import MoeLayer, _selected_softmax, _softmax_rows, _stable_top_k, _top_k
 from phibal.training import Optimizer, OptimizerConfig, cross_entropy
 
 
@@ -106,6 +106,92 @@ def test_bias_steers_selection_but_not_weight_inputs():
     assert steered.selections[0, 0] == 1
     # Probabilities (and hence weight inputs) never see the bias.
     np.testing.assert_allclose(steered.probs, plain.probs, atol=1e-12)
+
+
+def _scores_with_ties_infs_and_nans(rng, n_rows, n_experts):
+    """Score rows drawn from a few integers (so ties are common) or a normal,
+    with +inf, -inf and NaN scattered in at random; about half the rows are
+    mostly -inf, so that some hold fewer than k scores above it."""
+    if rng.random() < 0.5:
+        scores = rng.integers(-3, 4, size=(n_rows, n_experts)).astype(np.float64)
+    else:
+        scores = rng.standard_normal((n_rows, n_experts))
+    shape = (n_rows, n_experts)
+    scores[rng.random(shape) < rng.choice([0.08, 0.95], size=(n_rows, 1))] = -np.inf
+    scores[rng.random(shape) < 0.04] = np.inf
+    scores[rng.random(shape) < 0.003] = np.nan
+    return scores
+
+
+@pytest.mark.parametrize("n_experts", [3, 8, 15, 16, 31, 32, 33, 64])
+def test_top_k_matches_stable_sort_on_ties_infs_and_nans(n_experts):
+    # E is on both sides of the 8*k rule for some k; every k from 1 to E.
+    rng = np.random.default_rng(n_experts)
+    for k in range(1, n_experts + 1):
+        for _ in range(4):
+            scores = _scores_with_ties_infs_and_nans(rng, 40, n_experts)
+            bias = rng.integers(-2, 3, size=n_experts) * 0.5
+            for s in (scores, scores + bias):
+                got, want = _top_k(s, k), _stable_top_k(s, k)
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
+
+
+def test_selected_softmax_keeps_the_bits_of_the_masked_softmax():
+    # Logits of every scale, signed zeros, and huge or non-finite ones,
+    # which take the masked softmax itself.
+    rng = np.random.default_rng(29)
+    for trial in range(400):
+        n, width = int(rng.integers(1, 70)), int(rng.integers(2, 70))
+        k = int(rng.integers(2, width + 1))
+        lv = rng.standard_normal((n, width)) * 10.0 ** rng.uniform(-3, 12)
+        if trial % 4 == 1:
+            lv[rng.random((n, width)) < 0.3] = -0.0
+        if trial % 4 == 2:
+            lv[rng.random((n, width)) < 0.05] = rng.choice([np.inf, -np.inf, np.nan, 1e20])
+        selections = _stable_top_k(lv, k)
+        chosen = np.zeros(lv.shape, dtype=bool)
+        np.put_along_axis(chosen, selections, True, axis=1)
+        with np.errstate(invalid="ignore"):
+            want = _softmax_rows(lv + np.where(chosen, 0.0, -1e30))
+            got = _selected_softmax(lv, np.arange(0, lv.size, width)[:, None] + selections)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_wide_route_falls_back_on_rows_without_k_scores_above_minus_inf():
+    # (T, E, k) = (1024, 64, 4) takes the argmax passes. A token whose first
+    # input is +inf gets +inf logits on experts 5 and 9 and -inf on the
+    # rest: fewer than k scores above -inf, where argmax would pick a masked
+    # expert twice. A NaN token gets NaN logits, which the sort ranks last.
+    n_tokens, n_experts, top_k = 1024, 64, 4
+    layer = make_layer(n_experts=n_experts, top_k=top_k, dim=64, ffn_dim=8, seed=27)
+    w = layer.w_router.value
+    w[:, 0] = -np.abs(w[:, 0]) - 0.1
+    w[[5, 9], 0] = 1.0
+    rng = np.random.default_rng(28)
+    x = rng.standard_normal((n_tokens, 64))
+    x[[3, 700], 0] = np.inf
+    x[[10, 1023]] = np.nan
+    with np.errstate(invalid="ignore"):
+        routing = layer.route(constant(x))
+        logits = x @ np.ascontiguousarray(w.T)
+        probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+        probs /= probs.sum(axis=1, keepdims=True)
+        order = np.argsort(-logits, axis=1, kind="stable")
+        selections = np.sort(order[:, :top_k], axis=1)
+        chosen = np.zeros(logits.shape, dtype=bool)
+        np.put_along_axis(chosen, selections, True, axis=1)
+        masked = logits + np.where(chosen, 0.0, -1e30)
+        weights = np.exp(masked - masked.max(axis=1, keepdims=True))
+        weights /= weights.sum(axis=1, keepdims=True)
+    assert (logits[3] > -np.inf).sum() == 2
+    np.testing.assert_array_equal(routing.selections[3], [0, 1, 5, 9])
+    np.testing.assert_array_equal(routing.selections, selections)
+    np.testing.assert_array_equal(
+        routing.counts, np.bincount(selections.ravel(), minlength=n_experts)
+    )
+    np.testing.assert_array_equal(routing.weights.value, weights)
+    np.testing.assert_array_equal(routing.p_bar.value, probs.mean(axis=0))
 
 
 def test_top_k_must_not_exceed_experts():
