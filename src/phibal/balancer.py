@@ -96,15 +96,18 @@ class BalancerState:
         if self.config.mechanism == "loss_free":
             self.bias = np.zeros(self.n_experts)
 
+    def _per_expert(self, values, name: str) -> np.ndarray:
+        """``values`` as a float vector of one entry per expert."""
+        values = np.asarray(values, dtype=np.float64)
+        if values.shape != (self.n_experts,):
+            raise ValueError(f"{name} shape {values.shape} does not match {self.n_experts} experts")
+        return values
+
     # -- EMA ------------------------------------------------------------------
 
     def ema_update(self, stat: np.ndarray) -> None:
         """m <- (1 - eta) m + eta stat."""
-        stat = np.asarray(stat, dtype=np.float64)
-        if stat.shape != (self.n_experts,):
-            raise ValueError(
-                f"statistic shape {stat.shape} does not match {self.n_experts} experts"
-            )
+        stat = self._per_expert(stat, "statistic")
         eta = self.config.eta
         self.m = (1.0 - eta) * self.m + eta * stat
 
@@ -149,7 +152,7 @@ class BalancerState:
         """
         if self.config.mechanism != "loss_free":
             raise ValueError("bias updates only apply to the loss_free mechanism")
-        f = np.asarray(f, dtype=np.float64)
+        f = self._per_expert(f, "frequency")
         self.bias += self.config.bias_step * np.sign(1.0 / self.n_experts - f)
         return self.bias
 

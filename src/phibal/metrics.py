@@ -13,6 +13,8 @@ def _check_loads(loads) -> np.ndarray:
     loads = np.asarray(loads, dtype=np.float64)
     if loads.ndim != 1:
         raise ValueError(f"loads must be a vector, got shape {loads.shape}")
+    if not np.all(np.isfinite(loads)):
+        raise ValueError(f"loads must be finite, got {loads}")
     if np.any(loads < 0.0):
         raise ValueError("loads must be nonnegative")
     if float(loads.sum()) <= 0.0:
@@ -58,6 +60,10 @@ def routed_token_ratio(
         raise ValueError(
             f"{sel.shape[0]} selection rows vs {domain_ids.shape[0]} domain ids"
         )
+    for name, ids, bound in (("selection", sel, n_experts), ("domain id", domain_ids, n_domains)):
+        bad = ids[(ids < 0) | (ids >= bound)]
+        if bad.size:
+            raise ValueError(f"{name} {bad.flat[0]} outside [0, {bound})")
     k = sel.shape[1]
     ratio = np.full((n_domains, n_experts), np.nan)
     for d in range(n_domains):

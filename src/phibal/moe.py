@@ -8,10 +8,10 @@ experts are never evaluated.
 `MoeLayer.route` builds three graph nodes (router logits, mean probabilities
 and combination weights) and `MoeLayer.forward` runs all of a layer's experts
 and adds the residual input as one more, each with a hand-written backward
-pass. As in grouped-GEMM MoE
-kernels, the experts dispatch tokens by a single sort and loop per expert
-only for the matrix products; the elementwise gate, the weighting and the
-scatter run once per cache-sized group of experts, and the groups are
+pass. As in grouped-GEMM MoE kernels, the experts dispatch tokens by a
+single sort and loop per expert only for the matrix products; the
+elementwise gate, the weighting and the scatter run once per cache-sized
+group of experts, each group with its own activations, and the groups are
 split across threads. The tests hold the node bit for bit to a plain-numpy
 per-expert reference, and to itself run on one thread.
 """
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import _CHUNK, Node, _parts, _split, _weight_grad, linear, parameter
+from .autodiff import _CHUNK, Node, _split, _weight_grad, linear, parameter
 
 __all__ = ["RoutingBatch", "MoeLayer"]
 
@@ -258,11 +258,11 @@ class MoeLayer:
 
         The groups, forward and backward, are split across the machine's
         cores by `autodiff._split` (one worker thread per usable core but
-        the caller's, at most three); the first slice runs on the caller.
-        With too few groups for two slices the forward loops over them
-        itself and each group allocates its own activations. A group writes
-        only its own rows of the scatter buffers and of the activations,
-        its own (token, expert) entries of the weights' adjoint and its own
+        the caller's, at most three); the first slice runs on the caller,
+        and too few groups for two slices run there as a plain loop. Each
+        group allocates its own activations on whichever thread runs it,
+        and writes only its own rows of the scatter buffers, its own
+        (token, expert) entries of the weights' adjoint and its own
         experts' gradient arenas; every group does the same arithmetic
         whichever thread runs it, the node is built on the caller and the
         weight gradients are collected in group order, so no bit depends on
@@ -287,21 +287,8 @@ class MoeLayer:
                 groups.append([e])
 
         buf = np.empty((n_tokens * k, dim))
-        # Split, the activations of every group are allocated here rather
-        # than by each slice, so that a worker's allocator arena keeps none
-        # of their bulk (on the wide shape this held 5 MB more peak memory):
-        # h, the gate s, silu(a), act and the expert outputs y.
         # Per group, what its backward reads.
-        if _parts(len(groups)) > 1:
-            acts = [np.empty((n_tokens * k, width)) for width in (2 * ffn, ffn, ffn, ffn, dim)]
-            saved = _split(
-                self._group_forward, groups, xv, tokens, order, pair_w, starts, ends, buf, acts
-            )
-        else:
-            saved = [
-                self._group_forward(group, xv, tokens, order, pair_w, starts, ends, buf, None)
-                for group in groups
-            ]
+        saved = _split(self._group_forward, groups, xv, tokens, order, pair_w, starts, ends, buf)
         out = xv + _sum_slots(buf, n_tokens)
 
         parents = (
@@ -332,18 +319,12 @@ class MoeLayer:
         vjps = tuple(lambda g, i=i: backward(g)[i] for i in range(len(parents)))
         return Node(out, parents, vjps, op="moe_experts")
 
-    def _group_forward(
-        self, group, xv, tokens, order, pair_w, starts, ends, buf, acts
-    ) -> tuple:
-        """One group's experts: writes the group's rows of ``buf`` and of the
-        activations ``acts`` (its own if None) and returns what its backward
-        reads."""
+    def _group_forward(self, group, xv, tokens, order, pair_w, starts, ends, buf) -> tuple:
+        """One group's experts: writes the group's rows of ``buf`` and returns
+        its own activations, what its backward reads."""
         ffn = self.ffn_dim
         lo, hi = starts[group[0]], ends[group[-1]]
-        if acts is None:
-            h, y = np.empty((hi - lo, 2 * ffn)), np.empty((hi - lo, xv.shape[1]))
-        else:
-            h, s, silu, act, y = (arr[lo:hi] for arr in acts)
+        h, y = np.empty((hi - lo, 2 * ffn)), np.empty((hi - lo, xv.shape[1]))
         u = xv[tokens[lo:hi]]
         spans = []
         for e in group:
@@ -355,14 +336,9 @@ class MoeLayer:
             np.matmul(u[sl], w1t, out=h[sl])
             spans.append((sl, e, w1t, w2t))
         a, b = h[:, :ffn], h[:, ffn:]
-        if acts is None:  # operators: a ufunc called with a Python float costs more
-            s = 0.5 * (1.0 + np.tanh(0.5 * a))
-            silu = a * s
-            act = silu * b
-        else:  # the same arithmetic, into the caller's arrays
-            np.multiply(0.5, 1.0 + np.tanh(0.5 * a), out=s)
-            np.multiply(a, s, out=silu)
-            np.multiply(silu, b, out=act)
+        s = 0.5 * (1.0 + np.tanh(0.5 * a))
+        silu = a * s
+        act = silu * b
         for sl, _, _, w2t in spans:
             np.matmul(act[sl], w2t, out=y[sl])
         buf[order[lo:hi]] = pair_w[lo:hi] * y

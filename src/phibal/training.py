@@ -568,8 +568,8 @@ def compute_token_budget(total_compute: float) -> TokenBudget:
     Power-law fits in the total training compute C:
         M = 0.1915 * C^0.5095, D = 5.2232 * C^0.4905, tpp = D / M.
     """
-    if total_compute <= 0.0:
-        raise ValueError("total compute must be positive")
+    if not 0.0 < total_compute < math.inf:
+        raise ValueError(f"total compute must be finite and positive, got {total_compute}")
     m_opt = 0.1915 * total_compute**0.5095
     d_opt = 5.2232 * total_compute**0.4905
     return TokenBudget(m_opt, d_opt, d_opt / m_opt)

@@ -247,6 +247,14 @@ def test_loss_free_bias_monotone_under_constant_skew():
         previous = bias.copy()
 
 
+@pytest.mark.parametrize("f", [0.5, np.full(3, 1 / 3), np.full((1, 2), 0.5)])
+def test_loss_free_step_rejects_shape_mismatch(f):
+    state = make_state(mechanism="loss_free", potential=None)
+    with pytest.raises(ValueError, match="does not match 2 experts"):
+        state.loss_free_step(f)
+    np.testing.assert_array_equal(state.bias, np.zeros(2))
+
+
 def test_loss_free_step_requires_mechanism():
     with pytest.raises(ValueError):
         make_state().loss_free_step(np.array([0.5, 0.5]))

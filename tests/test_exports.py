@@ -25,14 +25,16 @@ def test_every_exported_name_resolves():
 def test_cli_import_leaves_optional_modules_unloaded():
     # Only `phibal check`'s solver once needed scipy, only a config file
     # needs yaml and only a parallel sweep needs multiprocessing. Neither the
-    # import nor a step of the acceptance config starts a thread or works
-    # out the worker count (which reads cgroup files): its one expert group
-    # and one optimizer chunk run on the caller.
+    # import, nor a step of the acceptance config, nor its 512-token eval
+    # starts a thread or works out the worker count (which reads cgroup
+    # files): a step's one expert group and one optimizer chunk, and the
+    # eval's three groups per layer (too few for two slices), run on the
+    # caller.
     probe = (
         "import sys, threading; threads = threading.active_count(); "
         "import phibal.cli; imported = threading.active_count() - threads; "
         "from phibal.training import TrainConfig, Trainer; trainer = Trainer(TrainConfig()); "
-        "[trainer.step() for _ in range(3)]; from phibal import autodiff; "
+        "[trainer.step() for _ in range(3)]; trainer.evaluate(); from phibal import autodiff; "
         "print(imported, threading.active_count() - threads, autodiff._WORKERS, "
         "sorted(m for m in sys.modules "
         "if m.split('.')[0] in ('scipy', 'yaml', 'multiprocessing', 'concurrent', 'queue')))"

@@ -30,6 +30,13 @@ def test_metrics_reject_all_zero_loads():
 
 
 @pytest.mark.parametrize("metric", [max_vio, gini])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_metrics_reject_non_finite_loads(metric, bad):
+    with pytest.raises(ValueError, match="finite"):
+        metric([1.0, bad])
+
+
+@pytest.mark.parametrize("metric", [max_vio, gini])
 def test_scale_and_permutation_invariance(metric):
     rng = np.random.default_rng(0)
     for _ in range(30):
@@ -79,6 +86,19 @@ def test_routed_token_ratio_absent_domain_is_nan_row():
     ratio = routed_token_ratio(sel, dom, n_experts=2, n_domains=2)
     assert np.all(np.isnan(ratio[1]))
     np.testing.assert_allclose(ratio[0], [2 / 3, 1 / 3])
+
+
+@pytest.mark.parametrize("expert", [-1, 2, 7])
+def test_routed_token_ratio_rejects_selection_out_of_range(expert):
+    sel = np.array([[0, 1], [1, expert]])
+    with pytest.raises(ValueError, match=f"selection {expert} outside"):
+        routed_token_ratio(sel, [0, 0], n_experts=2, n_domains=1)
+
+
+@pytest.mark.parametrize("domain", [-1, 2])
+def test_routed_token_ratio_rejects_domain_out_of_range(domain):
+    with pytest.raises(ValueError, match=f"domain id {domain} outside"):
+        routed_token_ratio([0, 1, 0], [0, 1, domain], n_experts=2, n_domains=2)
 
 
 def test_accuracy_pins():

@@ -725,3 +725,9 @@ def test_budget_large_compute_pin():
 def test_budget_rejects_nonpositive():
     with pytest.raises(ValueError):
         compute_token_budget(0.0)
+
+
+@pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+def test_budget_rejects_non_finite(c):
+    with pytest.raises(ValueError, match="finite"):
+        compute_token_budget(c)
