@@ -1,11 +1,12 @@
 """Minimal reverse-mode automatic differentiation over dense float64 arrays.
 
 Every operation builds a `Node` holding the forward value (a numpy array),
-references to its parent nodes, and one vector-Jacobian closure per parent.
-`backward()` replays the graph in reverse topological order and accumulates
-adjoints via the chain rule. The engine is deliberately small: first-order
-gradients only, float64 only. Graphs are built and walked on one thread;
-only `_split` hands disjoint slabs of one node's work to worker threads.
+references to its parent nodes, and one vector-Jacobian closure that returns
+all their adjoints. `backward()` replays the graph in reverse topological
+order and accumulates adjoints via the chain rule. The engine is deliberately
+small: first-order gradients only, float64 only. Graphs are built and walked
+on one thread; only `_split` hands disjoint slabs of one node's work to
+worker threads.
 
 There is no generic arithmetic. Besides `linear` and `weighted_sum`, the
 one reduction (<x, c> with c constant), each op of a training step (the
@@ -237,19 +238,8 @@ def is_checked() -> bool:
     return _CHECKED
 
 
-def _as_array(data) -> np.ndarray:
-    arr = np.asarray(data, dtype=np.float64)
-    if not arr.flags["C_CONTIGUOUS"]:
-        arr = np.ascontiguousarray(arr)
-    return arr
-
-
-def _guard(value: np.ndarray, op: str) -> None:
-    if _CHECKED and not np.all(np.isfinite(value)):
-        raise NonFiniteError(f"{op} produced a non-finite value")
-
-
 _UID = itertools.count()
+_F64 = np.dtype(np.float64)
 
 
 class Node:
@@ -261,6 +251,10 @@ class Node:
         out: where backward writes a leaf's first adjoint, if an optimizer set it.
         requires_grad: False for constants and nodes built only from them.
 
+    ``vjp(g)`` maps the node's adjoint g to its parents' adjoints, a tuple in
+    parent order; the entry of a parent that needs no gradient may be None.
+    A C-contiguous float64 ndarray value is kept as given; any other becomes one.
+
     Nodes carry a creation counter; backward replays reachable nodes in
     descending creation order, which is a valid reverse topological order
     because parents always exist before their children. Using creation order
@@ -268,31 +262,35 @@ class Node:
     order, and therefore bit patterns, independent of unrelated graph parts.
     """
 
-    __slots__ = ("value", "grad", "out", "op", "requires_grad", "uid", "_parents", "_vjps")
+    __slots__ = ("value", "grad", "out", "op", "requires_grad", "uid", "_parents", "_vjp")
 
     def __init__(
         self,
         value,
         parents: tuple[Node, ...] = (),
-        vjps: tuple[Callable[[np.ndarray], np.ndarray], ...] = (),
+        vjp: Callable[[np.ndarray], tuple] | None = None,
         requires_grad: bool | None = None,
         op: str = "leaf",
     ) -> None:
-        self.value = _as_array(value)
-        _guard(self.value, op)
+        if type(value) is not np.ndarray or value.dtype is not _F64 or not value.flags.c_contiguous:
+            value = np.asarray(value, dtype=np.float64, order="C")
+        if _CHECKED and not np.all(np.isfinite(value)):
+            raise NonFiniteError(f"{op} produced a non-finite value")
+        self.value = value
         self.grad: np.ndarray | None = None
         self.out: np.ndarray | None = None
         self.op = op
         self.uid = next(_UID)
-        # Parents that cannot receive gradients are dropped so backward never
-        # walks into dead subgraphs.
-        kept = tuple(
-            (p, vjp) for p, vjp in zip(parents, vjps) if p.requires_grad
-        ) if parents else ()
-        self._parents = tuple(p for p, _ in kept)
-        self._vjps = tuple(v for _, v in kept)
+        # A parent that cannot receive gradients is kept as None, so backward
+        # never walks into dead subgraphs; with none left, no parent is kept.
+        kept, live = [], False
+        for p in parents:
+            kept.append(p if p.requires_grad else None)
+            live = live or p.requires_grad
+        self._parents = kept if live else ()
+        self._vjp = vjp
         if requires_grad is None:
-            requires_grad = bool(self._parents)
+            requires_grad = live
         self.requires_grad = requires_grad
 
     @property
@@ -323,10 +321,11 @@ class Node:
         self.grad = np.ones_like(self.value)
         for node in order:
             g = node.grad
-            if g is None:
+            if g is None or not node._parents:
                 continue
-            for parent, vjp in zip(node._parents, node._vjps):
-                contrib = vjp(g)
+            for parent, contrib in zip(node._parents, node._vjp(g)):
+                if parent is None:
+                    continue
                 if parent.grad is not None:
                     parent.grad += contrib
                 elif parent.out is None:
@@ -344,7 +343,7 @@ def _reachable(root: Node) -> list[Node]:
     while stack:
         node = stack.pop()
         for parent in node._parents:
-            if id(parent) not in seen:
+            if parent is not None and id(parent) not in seen:
                 seen.add(id(parent))
                 out.append(parent)
                 stack.append(parent)
@@ -382,19 +381,20 @@ def linear(x: Node, w: Node) -> Node:
     references do (BLAS rounds a transposed view differently): the arena
     itself for a weight in an optimizer, a copy of any other weight. The
     weight's adjoint is written into its `out`, as the expert node's are.
+    Each adjoint is computed only when its parent needs one.
     """
-    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[1]:
-        raise ShapeError(f"linear: {x.shape} @ {w.shape}.T")
-    wt = np.ascontiguousarray(w.value.T)
-    xv = x.value
-    return Node(
-        xv @ wt,
-        (x, w),
-        (lambda g: g @ wt.T, lambda g: _weight_grad(w, xv, g)),
-        op="linear",
-    )
+    xv, wv = x.value, w.value
+    if xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[1]:
+        raise ShapeError(f"linear: {xv.shape} @ {wv.shape}.T")
+    wt = np.ascontiguousarray(wv.T)
+    need_dx, need_dw = x.requires_grad, w.requires_grad
+
+    def vjp(g: np.ndarray) -> tuple:
+        return (g @ wt.T if need_dx else None, _weight_grad(w, xv, g) if need_dw else None)
+
+    return Node(xv @ wt, (x, w), vjp, op="linear")
 
 
 def weighted_sum(x: Node, c: np.ndarray) -> Node:
     """<x, c> with c held constant, as one scalar node; x's adjoint is g * c."""
-    return Node((x.value * c).sum(), (x,), (lambda g: g * c,), op="weighted_sum")
+    return Node((x.value * c).sum(), (x,), lambda g: (g * c,), op="weighted_sum")

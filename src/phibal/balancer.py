@@ -181,6 +181,6 @@ def total_loss(task: Node, aux_losses: list[Node], alpha: float, n_experts: int)
     return Node(
         value,
         (task, *aux_losses),
-        (lambda g: g, *(lambda g: g * k for _ in aux_losses)),
+        lambda g: (g, *(g * k for _ in aux_losses)),
         op="total_loss",
     )

@@ -14,6 +14,7 @@ import itertools
 import json
 import os
 import traceback
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -123,36 +124,33 @@ def config_digest(cfg: TrainConfig) -> str:
 # -- CSV ------------------------------------------------------------------------
 
 
-def write_run_csv(path, cfg: TrainConfig, record: RunRecord) -> None:
-    """Write a run's rows to a temp file beside ``path``, then rename it into
-    place, so ``path`` is either absent or complete."""
-    path = Path(path)
+@contextmanager
+def _replacing(path: Path):
+    """A temp file beside ``path``, renamed over it once the block has written
+    it all: ``path`` is never left half written."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", newline="") as fh:
-            fh.write(f"# phibal csv schema v{CSV_SCHEMA_VERSION}\n")
-            writer = csv.writer(fh)
-            writer.writerow(CSV_SCHEMA)
-            for row in record.rows:
-                writer.writerow(
-                    [
-                        row.step,
-                        row.layer,
-                        repr(row.task_loss),
-                        repr(row.accuracy),
-                        repr(row.max_vio),
-                        repr(row.gini),
-                        cfg.balance.mechanism,
-                        cfg.balance.phi or "",
-                        repr(cfg.balance.eta),
-                        cfg.batch_tokens,
-                        cfg.seed,
-                    ]
-                )
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_run_csv(path, cfg: TrainConfig, record: RunRecord) -> None:
+    """Write a run's rows in place of ``path``, which is then either absent
+    or complete."""
+    with _replacing(Path(path)) as fh:
+        fh.write(f"# phibal csv schema v{CSV_SCHEMA_VERSION}\n")
+        writer = csv.writer(fh)
+        writer.writerow(CSV_SCHEMA)
+        for row in record.rows:
+            writer.writerow([
+                row.step, row.layer, repr(row.task_loss), repr(row.accuracy),
+                repr(row.max_vio), repr(row.gini), cfg.balance.mechanism,
+                cfg.balance.phi or "", repr(cfg.balance.eta), cfg.batch_tokens, cfg.seed,
+            ])
 
 
 def read_run_csv(path) -> list[dict]:
@@ -222,13 +220,15 @@ def run_plan(plan: ExperimentPlan, out_dir, jobs: int = 1) -> list[RunOutcome]:
         # Imported here: a serial sweep never loads multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # No more workers than runs: the pool forks all of them at once.
+        with ProcessPoolExecutor(max_workers=min(jobs, len(job_inputs))) as pool:
             outcomes = list(pool.map(_run_one, job_inputs))
     else:
         outcomes = [_run_one(job) for job in job_inputs]
 
     summary = summarize_runs(plan.axis, outcomes)
-    (out / "summary.md").write_text(summary)
+    with _replacing(out / "summary.md") as fh:
+        fh.write(summary)
     return outcomes
 
 

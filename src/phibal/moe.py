@@ -19,6 +19,7 @@ per-expert reference, and to itself run on one thread.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -34,15 +35,20 @@ _MASK_VALUE = -1e30
 _INSIDE_MASK = 1e13
 
 
+# The reductions below call the ufuncs' `reduce` directly: the arithmetic of
+# `a.max(axis=1)` and `a.sum(axis=1)` without their Python wrappers.
+_max, _min, _add = np.maximum.reduce, np.minimum.reduce, np.add.reduce
+
+
 def _softmax_rows(a: np.ndarray) -> np.ndarray:
     """Row-wise softmax, stabilized by row-max subtraction."""
-    e = np.exp(a - a.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+    e = np.exp(a - _max(a, axis=1, keepdims=True))
+    return e / _add(e, axis=1, keepdims=True)
 
 
 def _softmax_rows_vjp(y: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Adjoint of the logits of y = softmax_rows(logits) for adjoint g of y."""
-    return y * (g - (g * y).sum(axis=1, keepdims=True))
+    return y * (g - _add(g * y, axis=1, keepdims=True))
 
 
 def _selected_softmax(lv: np.ndarray, at: np.ndarray) -> np.ndarray:
@@ -56,12 +62,12 @@ def _selected_softmax(lv: np.ndarray, at: np.ndarray) -> np.ndarray:
     times slower); the row sums still run over the full rows, in the same
     order. Other logits take the masked softmax itself.
     """
-    if np.abs(lv).max() < _INSIDE_MASK:
+    if _max(lv, axis=None) < _INSIDE_MASK and _min(lv, axis=None) > -_INSIDE_MASK:
         picked = lv.ravel()[at]
         e = np.zeros(lv.size)
-        e[at] = np.exp(picked - picked.max(axis=1, keepdims=True))
+        e[at] = np.exp(picked - _max(picked, axis=1, keepdims=True))
         e = e.reshape(lv.shape)
-        return e / e.sum(axis=1, keepdims=True)
+        return e / _add(e, axis=1, keepdims=True)
     mask = np.full(lv.size, _MASK_VALUE)
     mask[at] = 0.0
     return _softmax_rows(lv + mask.reshape(lv.shape))
@@ -71,8 +77,9 @@ def _stable_top_k(scores: np.ndarray, k: int) -> np.ndarray:
     """(T, k) indices of each row's k largest scores, ascending by index, by
     a stable argsort on the negated scores: equal scores keep ascending
     index, and NaN sorts last."""
-    order = np.argsort(-scores, axis=1, kind="stable")
-    return np.sort(order[:, :k], axis=1)
+    picks = (-scores).argsort(axis=1, kind="stable")[:, :k].copy()
+    picks.sort(axis=1)
+    return picks
 
 
 def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
@@ -107,9 +114,10 @@ def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
 
 def _sum_slots(pairs: np.ndarray, n_tokens: int) -> np.ndarray:
     """Per token, 0.0 plus its k rows of a (T*k, D) pair array in slot order."""
-    out = np.zeros((n_tokens, pairs.shape[1]))
-    for term in pairs.reshape(n_tokens, -1, pairs.shape[1]).transpose(1, 0, 2):
-        out += term
+    terms = pairs.reshape(n_tokens, -1, pairs.shape[1])
+    out = 0.0 + terms[:, 0]
+    for j in range(1, terms.shape[1]):
+        out += terms[:, j]
     return out
 
 
@@ -203,15 +211,15 @@ class MoeLayer:
         logits = linear(x, self.w_router)
         lv = logits.value
         probs = _softmax_rows(lv)
-        n_tokens = x.shape[0]
+        n_tokens = lv.shape[0]
 
         selections = _top_k(lv if bias is None else lv + bias, self.top_k)
         counts = np.bincount(selections.ravel(), minlength=self.n_experts)
 
         p_bar = Node(
-            probs.sum(axis=0) / n_tokens,  # np.mean's arithmetic, without its wrapper
+            _add(probs, axis=0) / n_tokens,  # np.mean's arithmetic, without its wrapper
             (logits,),
-            (lambda g: _softmax_rows_vjp(probs, np.broadcast_to(g / n_tokens, probs.shape)),),
+            lambda g: (_softmax_rows_vjp(probs, np.broadcast_to(g / n_tokens, probs.shape)),),
             op="p_bar",
         )
         # Flat positions of the selected (token, expert) entries.
@@ -221,20 +229,13 @@ class MoeLayer:
             keep[at] = 1.0
             keep = keep.reshape(lv.shape)
             wv = probs * keep
-            vjp = lambda g: _softmax_rows_vjp(probs, g * keep)
+            vjp = lambda g: (_softmax_rows_vjp(probs, g * keep),)
         else:
             wv = _selected_softmax(lv, at)
-            vjp = lambda g: _softmax_rows_vjp(wv, g)
-        weights = Node(wv, (logits,), (vjp,), op="route_weights")
+            vjp = lambda g: (_softmax_rows_vjp(wv, g),)
+        weights = Node(wv, (logits,), vjp, op="route_weights")
 
-        return RoutingBatch(
-            probs=probs,
-            p_bar=p_bar,
-            weights=weights,
-            selections=selections,
-            counts=counts,
-            top_k=self.top_k,
-        )
+        return RoutingBatch(probs, p_bar, weights, selections, counts, self.top_k)
 
     # -- experts -------------------------------------------------------------
 
@@ -253,8 +254,8 @@ class MoeLayer:
         which is ascending expert order, so the sum keeps the bits of a
         dense masked combination; x is added to it last. Parents are x, the
         routing weights and the active experts' w1/w2 only, so experts with
-        no tokens receive no gradient; one hand-written backward pass, run
-        once however many parents ask for it, serves every parent.
+        no tokens receive no gradient; one hand-written backward pass serves
+        every parent.
 
         The groups, forward and backward, are split across the machine's
         cores by `autodiff._split` (one worker thread per usable core but
@@ -269,16 +270,17 @@ class MoeLayer:
         scheduling.
         """
         ffn, k = self.ffn_dim, self.top_k
-        n_tokens, dim = x.shape
+        xv, wv = x.value, routing.weights.value
+        n_tokens, dim = xv.shape
         flat = routing.selections.ravel()
-        order = np.argsort(flat, kind="stable")
+        order = flat.argsort(kind="stable")
         tokens = order // k
         experts = flat[order]
-        xv, wv = x.value, routing.weights.value
         pair_w = wv[tokens, experts][:, None]
-        ends = np.cumsum(routing.counts).tolist()
-        starts = [end - c for end, c in zip(ends, routing.counts.tolist())]
-        active = np.flatnonzero(routing.counts).tolist()
+        counts = routing.counts.tolist()
+        ends = list(accumulate(counts))
+        starts = [end - c for end, c in zip(ends, counts)]
+        active = [e for e, c in enumerate(counts) if c]
         groups: list[list[int]] = []
         for e in active:
             if groups and (ends[e] - starts[groups[-1][0]]) * 2 * ffn <= _CHUNK:
@@ -291,33 +293,23 @@ class MoeLayer:
         saved = _split(self._group_forward, groups, xv, tokens, order, pair_w, starts, ends, buf)
         out = xv + _sum_slots(buf, n_tokens)
 
-        parents = (
-            x,
-            routing.weights,
-            *(self.w1[e] for e in active),
-            *(self.w2[e] for e in active),
-        )
+        parents = (x, routing.weights, *[self.w1[e] for e in active], *[self.w2[e] for e in active])
         need_dx = x.requires_grad
-        cache: dict = {}
 
-        def backward(g: np.ndarray) -> tuple:
-            """Every parent's gradient, in parent order, from one pass."""
-            if cache.get("g") is not g:
-                dbuf = np.empty((n_tokens * k, dim)) if need_dx else None
-                dw = np.zeros_like(wv)
-                per_group = _split(
-                    self._group_backward, saved, g, xv, tokens, experts, order, pair_w, dw, dbuf
-                )
-                d_w1 = [d for w1s, _ in per_group for d in w1s]
-                d_w2 = [d for _, w2s in per_group for d in w2s]
-                # dx is summed back like the forward output, then added to
-                # g, the residual's share.
-                dx = g + _sum_slots(dbuf, n_tokens) if need_dx else None
-                cache.update(g=g, grads=(dx, dw, *d_w1, *d_w2))
-            return cache["grads"]
+        def vjp(g: np.ndarray) -> tuple:
+            dbuf = np.empty((n_tokens * k, dim)) if need_dx else None
+            dw = np.zeros_like(wv)
+            per_group = _split(
+                self._group_backward, saved, g, xv, tokens, experts, order, pair_w, dw, dbuf
+            )
+            d_w1 = [d for w1s, _ in per_group for d in w1s]
+            d_w2 = [d for _, w2s in per_group for d in w2s]
+            # dx is summed back like the forward output, then added to g, the
+            # residual's share.
+            dx = g + _sum_slots(dbuf, n_tokens) if need_dx else None
+            return (dx, dw, *d_w1, *d_w2)
 
-        vjps = tuple(lambda g, i=i: backward(g)[i] for i in range(len(parents)))
-        return Node(out, parents, vjps, op="moe_experts")
+        return Node(out, parents, vjp, op="moe_experts")
 
     def _group_forward(self, group, xv, tokens, order, pair_w, starts, ends, buf) -> tuple:
         """One group's experts: writes the group's rows of ``buf`` and returns

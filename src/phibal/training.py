@@ -275,8 +275,8 @@ def cross_entropy(logits: Node, labels: np.ndarray) -> Node:
     log, subtract, one-hot product, sum, scale by -1/n), so values and
     adjoints have that chain's bits.
     """
-    n, c = logits.shape
     v = logits.value
+    n, c = v.shape
     shifted = v - v.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     s = e.sum(axis=1, keepdims=True)
@@ -288,9 +288,9 @@ def cross_entropy(logits: Node, labels: np.ndarray) -> Node:
     def vjp(g):
         d_log_probs = np.broadcast_to(g * scale, (n, c)) * onehot
         d_s = (-d_log_probs).sum(axis=1, keepdims=True) / s
-        return d_log_probs + d_s * e
+        return (d_log_probs + d_s * e,)
 
-    return Node((log_probs * onehot).sum() * scale, (logits,), (vjp,), op="cross_entropy")
+    return Node((log_probs * onehot).sum() * scale, (logits,), vjp, op="cross_entropy")
 
 
 def squared_error(pred: Node, targets: np.ndarray) -> Node:
@@ -304,9 +304,9 @@ def squared_error(pred: Node, targets: np.ndarray) -> Node:
 
     def vjp(g):
         half = np.broadcast_to(g / d.size, d.shape) * d
-        return half + half
+        return (half + half,)
 
-    return Node((d * d).mean(), (pred,), (vjp,), op="squared_error")
+    return Node((d * d).mean(), (pred,), vjp, op="squared_error")
 
 
 # -- run records ---------------------------------------------------------------------

@@ -84,7 +84,7 @@ def test_05_stop_gradient_system_check():
     # production node: p_bar's adjoint is the root's, broadcast, times w.
     aux2 = [
         Node((r.p_bar.value * w).sum(), (r.p_bar,),
-             (lambda g, w=w: np.broadcast_to(g, w.shape).copy() * w,))
+             lambda g, w=w: (np.broadcast_to(g, w.shape).copy() * w,))
         for r, w in zip(routings2, frozen_prices)
     ]
     loss2 = total_loss(task2, aux2, cfg.balance.alpha, cfg.model.experts)

@@ -32,12 +32,12 @@ def softmax_rows(a: np.ndarray) -> np.ndarray:
 def product(a: Node, b: Node) -> Node:
     """a * b for nodes of one shape, with the product rule's VJPs: a test-local
     reference, built apart from the engine's fused nodes."""
-    return Node(a.value * b.value, (a, b), (lambda g: g * b.value, lambda g: g * a.value))
+    return Node(a.value * b.value, (a, b), lambda g: (g * b.value, g * a.value))
 
 
 def total(y: Node) -> Node:
     """The sum of y's entries; y's adjoint is the root's, broadcast."""
-    return Node(y.value.sum(), (y,), (lambda g: np.broadcast_to(g, y.shape).copy(),))
+    return Node(y.value.sum(), (y,), lambda g: (np.broadcast_to(g, y.shape).copy(),))
 
 
 def test_primitive_identities():
@@ -82,8 +82,8 @@ def test_leaf_out_receives_its_adjoint_in_place():
     kept = c1.copy(), c2.copy()
 
     def grad_of(leaf):
-        first = Node(0.0, (leaf,), (lambda g: c1,))
-        second = Node(0.0, (leaf,), (lambda g: c2,))  # backward reaches it first
+        first = Node(0.0, (leaf,), lambda g: (c1,))
+        second = Node(0.0, (leaf,), lambda g: (c2,))  # backward reaches it first
         total_loss(first, [second], 1.0, 1).backward()
         return leaf.grad
 
@@ -181,6 +181,26 @@ def test_checked_mode_rejects_non_finite():
         set_checked(False)
     # Unchecked mode lets the value through.
     assert np.isnan(Node([np.nan]).value[0])
+
+
+def test_node_keeps_a_float64_c_array_and_converts_anything_else():
+    a = np.arange(6.0).reshape(2, 3)
+    assert Node(a).value is a
+
+    class Sub(np.ndarray):
+        pass
+
+    for data in ([[1, 2], [3, 4]], 3, np.arange(4, dtype=np.float32), a[:, ::2], a.view(Sub)):
+        value = Node(data).value
+        assert type(value) is np.ndarray and value is not data
+        assert value.dtype == np.float64 and value.flags.c_contiguous
+        np.testing.assert_array_equal(value, np.asarray(data))
+    set_checked(True)
+    try:
+        with pytest.raises(NonFiniteError):
+            Node(np.array([1.0, np.nan]))
+    finally:
+        set_checked(False)
 
 
 # -- splitting work across threads ---------------------------------------------------

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import multiprocessing
 import textwrap
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from phibal import autodiff
+from phibal import autodiff, experiments
 from phibal.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from phibal.config import (
     ConfigError,
@@ -285,6 +286,65 @@ def test_csv_write_failure_leaves_no_file(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="no space"):
         write_run_csv(out / "run.csv", cfg, record)
     assert list(out.iterdir()) == []
+
+
+def test_summary_write_failure_keeps_the_previous_summary(tmp_path, monkeypatch):
+    plan = parse_config(write_tiny_plan(tmp_path, values=("neg_shannon",), seeds=(0,)))
+    out = tmp_path / "out"
+    run_plan(plan, out)
+    names = sorted(p.name for p in out.iterdir())
+    before = (out / "summary.md").read_bytes()
+    real_open = open
+
+    class FailsMidway:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[: len(text) // 2])  # half the summary, then the disk fills
+            raise OSError("no space left on device")
+
+    def open_failing_summary(path, *args, **kwargs):
+        fh = real_open(path, *args, **kwargs)
+        return FailsMidway(fh) if "summary.md" in str(path) else fh
+
+    monkeypatch.setattr(experiments, "open", open_failing_summary, raising=False)
+    monkeypatch.setattr(experiments, "summarize_runs", lambda axis, outcomes: "new\n" * 100)
+    with pytest.raises(OSError, match="no space"):
+        run_plan(plan, out)
+    assert (out / "summary.md").read_bytes() == before
+    assert sorted(p.name for p in out.iterdir()) == names
+
+
+def test_process_pool_has_no_more_workers_than_runs(tmp_path, monkeypatch):
+    # The pool forks all its workers at the first submit, so it is sized by
+    # the runs; this one runs them in this process and starts none.
+    asked = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    plan = parse_config(write_tiny_plan(tmp_path, values=("neg_shannon",), seeds=(0, 1)))
+    outcomes = run_plan(plan, tmp_path / "out", jobs=8)
+    assert asked == [2]
+    assert [oc.error for oc in outcomes] == [None, None]
 
 
 def test_run_plan_writes_csvs_and_summary(tmp_path):

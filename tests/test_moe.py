@@ -7,7 +7,14 @@ from phibal import autodiff
 from phibal.autodiff import _CHUNK, constant, linear, parameter, weighted_sum
 from phibal.balancer import BalanceConfig, BalancerState, total_loss
 from phibal.checks import finite_diff_gradient, gradient_max_rel_error
-from phibal.moe import MoeLayer, _selected_softmax, _softmax_rows, _stable_top_k, _top_k
+from phibal.moe import (
+    MoeLayer,
+    _selected_softmax,
+    _softmax_rows,
+    _stable_top_k,
+    _sum_slots,
+    _top_k,
+)
 from phibal.training import Optimizer, OptimizerConfig, cross_entropy
 
 
@@ -192,6 +199,35 @@ def test_wide_route_falls_back_on_rows_without_k_scores_above_minus_inf():
     )
     np.testing.assert_array_equal(routing.weights.value, weights)
     np.testing.assert_array_equal(routing.p_bar.value, probs.mean(axis=0))
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_sum_slots_adds_each_tokens_slots_to_zero_in_slot_order(k):
+    # Per token, 0.0 + t0 + ... + t(k-1), term by term in Python floats.
+    # 0.0 + -0.0 is +0.0, so a token whose slots are all -0.0 sums to +0.0;
+    # assert_array_equal takes -0.0 for +0.0, so the signs are compared
+    # apart, wherever the sum is not NaN (IEEE fixes no sign for a NaN).
+    rng = np.random.default_rng(k)
+    n_tokens, dim = 9, 5
+    pairs = rng.standard_normal((n_tokens * k, dim))
+    flat = pairs.ravel()
+    at = rng.choice(flat.size, size=flat.size // 2, replace=False)
+    flat[at] = rng.choice([-0.0, np.nan, np.inf, -np.inf, 1e308], size=at.size)
+    pairs[:k] = -0.0
+    terms = pairs.reshape(n_tokens, k, dim)
+    want = np.empty((n_tokens, dim))
+    for t in range(n_tokens):
+        for d in range(dim):
+            total = 0.0
+            for j in range(k):
+                total = total + float(terms[t, j, d])
+            want[t, d] = total
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = _sum_slots(pairs, n_tokens)
+    np.testing.assert_array_equal(got, want)
+    assert not np.signbit(got[0]).any()
+    number = ~np.isnan(want)
+    np.testing.assert_array_equal(np.signbit(got[number]), np.signbit(want[number]))
 
 
 def test_top_k_must_not_exceed_experts():
