@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .checks import run_all_checks
 from .config import ConfigError, parse_config, with_seed
-from .experiments import ExperimentPlan, config_digest, run_plan, write_run_csv
+from .experiments import ExperimentPlan, config_digest, run_csv_path, run_plan, write_run_csv
 from .potentials import DomainError
 from .training import NumericalError, TrainConfig, compute_token_budget, train
 
@@ -87,17 +87,11 @@ def _cmd_run(args) -> int:
     if args.seed is not None:
         cfg = with_seed(cfg, args.seed)
     record = train(cfg)
-    print(
-        f"run {config_digest(cfg)}: steps={cfg.steps} "
-        f"task_loss={record.terminal_task_loss():.4f} "
-        f"accuracy={record.terminal_accuracy():.4f} "
-        f"max_vio={record.terminal_max_vio():.4f} "
-        f"gini={record.terminal_gini():.4f}"
-    )
+    metrics = " ".join(f"{name}={v:.4f}" for name, v in record.terminal().items())
+    print(f"run {config_digest(cfg)}: steps={cfg.steps} {metrics}")
     if args.out is not None:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        path = out / f"run_{config_digest(cfg)}.csv"
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+        path = run_csv_path(args.out, cfg)
         write_run_csv(path, cfg, record)
         print(f"wrote {path}")
     return EXIT_OK

@@ -17,11 +17,20 @@ import traceback
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
 from .config import ConfigError, config_to_dict, with_seed
-from .training import BalanceConfig, NumericalError, RunRecord, TrainConfig, train
+from .training import (
+    BalanceConfig,
+    EvalRow,
+    NumericalError,
+    RunRecord,
+    TrainConfig,
+    terminal_metrics,
+    train,
+)
 
 __all__ = [
     "CSV_SCHEMA",
@@ -29,6 +38,7 @@ __all__ = [
     "RunOutcome",
     "expand_plan",
     "config_digest",
+    "run_csv_path",
     "write_run_csv",
     "read_run_csv",
     "run_plan",
@@ -36,19 +46,18 @@ __all__ = [
 ]
 
 CSV_SCHEMA_VERSION = 1
-CSV_SCHEMA = (
-    "step",
-    "layer",
-    "task_loss",
-    "accuracy",
-    "max_vio",
-    "gini",
-    "mech",
-    "phi",
-    "eta",
-    "batch",
-    "seed",
-)
+_HEADER = f"# phibal csv schema v{CSV_SCHEMA_VERSION}"
+# Column -> parser of its text: every `EvalRow` field but ``m_hash`` (its last
+# field, which `write_run_csv` drops), then the config values it appends.
+_COLUMNS = {
+    **{name: kind for name, kind in get_type_hints(EvalRow).items() if name != "m_hash"},
+    "mech": str,
+    "phi": str,
+    "eta": float,
+    "batch": int,
+    "seed": int,
+}
+CSV_SCHEMA = tuple(_COLUMNS)
 
 # Sweep axis -> the base config with one value applied. A base whose
 # mechanism is not ``phi`` holds no potential, so its ``phi`` run takes the
@@ -121,6 +130,10 @@ def config_digest(cfg: TrainConfig) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
+def run_csv_path(out_dir, cfg: TrainConfig) -> Path:
+    return Path(out_dir) / f"run_{config_digest(cfg)}.csv"
+
+
 # -- CSV ------------------------------------------------------------------------
 
 
@@ -141,44 +154,26 @@ def _replacing(path: Path):
 def write_run_csv(path, cfg: TrainConfig, record: RunRecord) -> None:
     """Write a run's rows in place of ``path``, which is then either absent
     or complete."""
+    config = (cfg.balance.mechanism, cfg.balance.phi or "", cfg.balance.eta,
+              cfg.batch_tokens, cfg.seed)
     with _replacing(Path(path)) as fh:
-        fh.write(f"# phibal csv schema v{CSV_SCHEMA_VERSION}\n")
-        writer = csv.writer(fh)
+        fh.write(_HEADER + "\n")
+        writer = csv.writer(fh)  # a float as str(), its shortest round-trip text
         writer.writerow(CSV_SCHEMA)
         for row in record.rows:
-            writer.writerow([
-                row.step, row.layer, repr(row.task_loss), repr(row.accuracy),
-                repr(row.max_vio), repr(row.gini), cfg.balance.mechanism,
-                cfg.balance.phi or "", repr(cfg.balance.eta), cfg.batch_tokens, cfg.seed,
-            ])
+            writer.writerow([*row[:-1], *config])
 
 
 def read_run_csv(path) -> list[dict]:
-    rows = []
+    """A run CSV's rows as dicts of parsed values; another schema version is refused."""
     with open(path, newline="") as fh:
-        first = fh.readline()
-        if not first.startswith("#"):
-            raise ConfigError(f"{path}: missing schema header comment")
+        first = fh.readline().rstrip("\r\n")
+        if first != _HEADER:
+            raise ConfigError(f"{path}: expected header {_HEADER!r}, found {first!r}")
         reader = csv.DictReader(fh)
         if tuple(reader.fieldnames or ()) != CSV_SCHEMA:
             raise ConfigError(f"{path}: unexpected columns {reader.fieldnames}")
-        for raw in reader:
-            rows.append(
-                {
-                    "step": int(raw["step"]),
-                    "layer": int(raw["layer"]),
-                    "task_loss": float(raw["task_loss"]),
-                    "accuracy": float(raw["accuracy"]),
-                    "max_vio": float(raw["max_vio"]),
-                    "gini": float(raw["gini"]),
-                    "mech": raw["mech"],
-                    "phi": raw["phi"],
-                    "eta": float(raw["eta"]),
-                    "batch": int(raw["batch"]),
-                    "seed": int(raw["seed"]),
-                }
-            )
-    return rows
+        return [{col: parse(raw[col]) for col, parse in _COLUMNS.items()} for raw in reader]
 
 
 # -- plan execution -----------------------------------------------------------------
@@ -186,7 +181,7 @@ def read_run_csv(path) -> list[dict]:
 
 def _run_one(job: tuple[str, int, TrainConfig, str]) -> RunOutcome:
     label, seed, cfg, out_dir = job
-    path = Path(out_dir) / f"run_{config_digest(cfg)}.csv"
+    path = run_csv_path(out_dir, cfg)
     try:
         record = train(cfg)
         write_run_csv(path, cfg, record)
@@ -235,18 +230,6 @@ def run_plan(plan: ExperimentPlan, out_dir, jobs: int = 1) -> list[RunOutcome]:
 # -- summaries ------------------------------------------------------------------------
 
 
-def _terminal_metrics(csv_path: str) -> dict:
-    rows = read_run_csv(csv_path)
-    last = max(r["step"] for r in rows)
-    final = [r for r in rows if r["step"] == last]
-    return {
-        "max_vio": float(np.mean([r["max_vio"] for r in final])),
-        "gini": float(np.mean([r["gini"] for r in final])),
-        "task_loss": final[-1]["task_loss"],
-        "accuracy": final[-1]["accuracy"],
-    }
-
-
 def _mean_halfwidth(values: list[float]) -> tuple[float, float]:
     arr = np.asarray(values, dtype=np.float64)
     mean = float(arr.mean())
@@ -261,23 +244,17 @@ def summarize_runs(axis: str, outcomes: list[RunOutcome]) -> str:
 
     Derived entirely from the run CSVs so it can be recomputed offline.
     """
-    by_label: dict[str, list[RunOutcome]] = {}
-    order: list[str] = []
+    by_label: dict[str, list[dict]] = {}  # terminal metrics; labels in first-seen order
+    failures = []
     for oc in outcomes:
-        if oc.label not in by_label:
-            by_label[oc.label] = []
-            order.append(oc.label)
-        by_label[oc.label].append(oc)
+        metrics = by_label.setdefault(oc.label, [])
+        if oc.error is not None:
+            failures.append(f"- `{oc.label}` seed {oc.seed}: ERROR {oc.error}")
+        else:
+            metrics.append(terminal_metrics(read_run_csv(oc.csv_path)))
 
     groups = []
-    failures = []
-    for label in order:
-        metrics = []
-        for oc in by_label[label]:
-            if oc.error is not None:
-                failures.append(f"- `{label}` seed {oc.seed}: ERROR {oc.error}")
-            else:
-                metrics.append(_terminal_metrics(oc.csv_path))
+    for label, metrics in by_label.items():
         if metrics:
             mv_mean, mv_half = _mean_halfwidth([m["max_vio"] for m in metrics])
             loss_mean, loss_half = _mean_halfwidth([m["task_loss"] for m in metrics])

@@ -38,6 +38,7 @@ __all__ = [
     "TrainConfig",
     "EvalRow",
     "RunRecord",
+    "terminal_metrics",
     "NumericalError",
     "MoeStack",
     "Trainer",
@@ -89,6 +90,11 @@ class OptimizerConfig:
 
     def __post_init__(self) -> None:
         check_fields(self, "optimizer")
+        if self.kind == "sgd" and self.weight_decay != 0.0:
+            raise ValueError(
+                f"optimizer 'weight_decay' applies to kind 'adamw' only, "
+                f"got {self.weight_decay!r} with kind 'sgd'"
+            )
 
 
 @dataclass(frozen=True)
@@ -330,21 +336,28 @@ class RunRecord:
         payload = "\n".join(repr(tuple(r)) for r in self.rows)
         return hashlib.sha256(payload.encode()).hexdigest()
 
-    def _last_step_rows(self) -> list[EvalRow]:
-        last = self.rows[-1].step
-        return [r for r in self.rows if r.step == last]
-
-    def terminal_max_vio(self) -> float:
-        return float(np.mean([r.max_vio for r in self._last_step_rows()]))
-
-    def terminal_gini(self) -> float:
-        return float(np.mean([r.gini for r in self._last_step_rows()]))
+    def terminal(self) -> dict[str, float]:
+        return terminal_metrics([r._asdict() for r in self.rows])
 
     def terminal_task_loss(self) -> float:
-        return self._last_step_rows()[-1].task_loss
+        return self.terminal()["task_loss"]
 
-    def terminal_accuracy(self) -> float:
-        return self._last_step_rows()[-1].accuracy
+    def terminal_max_vio(self) -> float:
+        return self.terminal()["max_vio"]
+
+
+def terminal_metrics(rows: list[dict]) -> dict[str, float]:
+    """A run's metrics at its last eval step, from its rows in step order as
+    dicts keyed by `EvalRow` field: ``task_loss`` and ``accuracy`` of the
+    step's last row, ``max_vio`` and ``gini`` averaged over its layers."""
+    last = rows[-1]
+    final = [r for r in rows if r["step"] == last["step"]]
+    return {
+        "task_loss": last["task_loss"],
+        "accuracy": last["accuracy"],
+        "max_vio": float(np.mean([r["max_vio"] for r in final])),
+        "gini": float(np.mean([r["gini"] for r in final])),
+    }
 
 
 # -- trainer -------------------------------------------------------------------------

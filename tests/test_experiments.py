@@ -21,6 +21,7 @@ from phibal.config import (
 from phibal.experiments import (
     CSV_SCHEMA,
     ExperimentPlan,
+    RunOutcome,
     config_digest,
     expand_plan,
     read_run_csv,
@@ -32,8 +33,10 @@ from phibal.corpus import CorpusSpec
 from phibal.potentials import DomainError
 from phibal.training import (
     BalanceConfig,
+    EvalRow,
     ModelConfig,
     NumericalError,
+    RunRecord,
     TrainConfig,
     Trainer,
     train,
@@ -262,6 +265,66 @@ def test_csv_round_trip(tmp_path):
         assert header.startswith("#")
         columns = tuple(fh.readline().strip().split(","))
     assert columns == CSV_SCHEMA
+
+
+def test_csv_of_another_schema_version_is_refused(tmp_path):
+    # Accepted, any first line starting with "#" read as v1.
+    cfg = TrainConfig(seed=0)
+    path = tmp_path / "run.csv"
+    write_run_csv(path, cfg, RunRecord([EvalRow(10, 0, 1.0, 0.5, 0.25, 0.125, "0" * 16)]))
+    assert read_run_csv(path)[0]["max_vio"] == 0.25
+    path.write_text(path.read_text().replace("schema v1", "schema v2"))
+    with pytest.raises(ConfigError, match=r"run\.csv: expected header .* found '# phibal csv schema v2'"):
+        read_run_csv(path)
+
+
+def _hand_built_run(tmp_path, seed, final_loss, final_vios):
+    """A run CSV of two eval steps x two layers, written without training."""
+    cfg = TrainConfig(
+        balance=BalanceConfig(phi="lp:p=3", eta=0.5), batch_tokens=32, seed=seed
+    )
+    nan = float("nan")
+    record = RunRecord([
+        EvalRow(10, 0, 1.25, nan, 0.5, 0.125, "a" * 16),
+        EvalRow(10, 1, 1.25, nan, 0.25, 0.0625, "b" * 16),
+        EvalRow(20, 0, final_loss, nan, final_vios[0], 0.25, "c" * 16),
+        EvalRow(20, 1, final_loss, nan, final_vios[1], 0.375, "d" * 16),
+    ])
+    path = tmp_path / f"run_{seed}.csv"
+    write_run_csv(path, cfg, record)
+    return RunOutcome(label=cfg.balance.phi, seed=seed, csv_path=str(path))
+
+
+def test_csv_and_summary_text_are_pinned(tmp_path):
+    # The exact bytes a run CSV and summary.md hold, from hand-built rows:
+    # m_hash stays out, a float is its shortest round-trip text, nan is "nan".
+    first = _hand_built_run(tmp_path, 0, 0.1 + 0.2, (0.75, 0.5))
+    second = _hand_built_run(tmp_path, 1, 0.5, (0.375, 0.125))
+    assert Path(first.csv_path).read_bytes().decode() == textwrap.dedent(
+        """\
+        # phibal csv schema v1
+        step,layer,task_loss,accuracy,max_vio,gini,mech,phi,eta,batch,seed\r
+        10,0,1.25,nan,0.5,0.125,phi,lp:p=3,0.5,32,0\r
+        10,1,1.25,nan,0.25,0.0625,phi,lp:p=3,0.5,32,0\r
+        20,0,0.30000000000000004,nan,0.75,0.25,phi,lp:p=3,0.5,32,0\r
+        20,1,0.30000000000000004,nan,0.5,0.375,phi,lp:p=3,0.5,32,0\r
+        """
+    )
+    failed = RunOutcome(label="euclidean", seed=0, csv_path=None, error="non-finite loss at step 5")
+    # max_vio: seeds 0.625 and 0.25; task_loss: 0.3 and 0.5; half-width 1.96 * sd / sqrt(2).
+    assert summarize_runs("phi", [first, failed, second]) == textwrap.dedent(
+        """\
+        # Sweep summary: axis `phi`
+
+        | value | runs | terminal max_vio | terminal task_loss | terminal accuracy |
+        |---|---|---|---|---|
+        | `lp:p=3` | 2 | 0.4375 ± 0.3675 | 0.4000 ± 0.1960 | nan |
+
+        ## Failed runs
+
+        - `euclidean` seed 0: ERROR non-finite loss at step 5
+        """
+    )
 
 
 def test_csv_write_failure_leaves_no_file(tmp_path, monkeypatch):

@@ -93,6 +93,14 @@ def test_optimizer_knobs_out_of_range_rejected(name, value):
         OptimizerConfig(**{name: value})
 
 
+def test_sgd_rejects_weight_decay():
+    # Accepted, SGD ignored it: a parameter with a zero gradient stayed put,
+    # under a config digest of its own.
+    with pytest.raises(ValueError, match="'weight_decay' applies to kind 'adamw' only.*'sgd'"):
+        OptimizerConfig(kind="sgd", weight_decay=0.5)
+    assert OptimizerConfig(kind="sgd", weight_decay=0.0).weight_decay == 0.0
+
+
 @pytest.mark.parametrize(
     "build, name",
     [
@@ -216,7 +224,8 @@ def _reference_optimizer(cfg, values, grads, total_steps):
 def test_flat_optimizer_matches_per_array_formula_bitwise(kind):
     # Four chunks: a 0-d parameter; one larger than a chunk; a run of two;
     # a last one. Parameter 3 has no gradient on alternate steps, between
-    # parameters that have one. A zero weight decay skips the decay passes.
+    # parameters that have one. A zero weight decay skips the decay passes;
+    # SGD takes none.
     shapes = [(), (_CHUNK + 7,), (_CHUNK // 4, 2), (8, 16), (3, _CHUNK // 3)]
     rng = np.random.default_rng(12)
     values = [rng.standard_normal(s) for s in shapes]
@@ -225,7 +234,7 @@ def test_flat_optimizer_matches_per_array_formula_bitwise(kind):
         [None if (i == 3 and t % 2) else rng.standard_normal(s) for i, s in enumerate(shapes)]
         for t in range(steps)
     ]
-    for weight_decay in (0.01, 0.0):
+    for weight_decay in (0.01, 0.0) if kind == "adamw" else (0.0,):
         cfg = OptimizerConfig(
             kind=kind, lr=0.05, weight_decay=weight_decay, warmup_steps=2, cosine=True
         )
@@ -672,7 +681,7 @@ def test_dense_baseline_learns_domains():
         eval_every=100,
     )
     record = train(cfg)
-    assert record.terminal_accuracy() > 0.9
+    assert record.terminal()["accuracy"] > 0.9
 
 
 def test_regression_task_trains():
@@ -680,7 +689,7 @@ def test_regression_task_trains():
         corpus=CorpusSpec(n_domains=4, dim=16, label_rule="linear_teacher", seed=2)
     )
     record = train(with_seed(cfg, 2))
-    assert np.isnan(record.terminal_accuracy())
+    assert np.isnan(record.terminal()["accuracy"])
     assert record.rows[-1].task_loss < record.rows[0].task_loss
 
 
