@@ -241,6 +241,10 @@ def is_checked() -> bool:
 _UID = itertools.count()
 _F64 = np.dtype(np.float64)
 
+# The ufuncs' own reductions: the arithmetic of `a.max(axis=1)`,
+# `a.sum(axis=1)` and the like without their Python wrappers.
+_max, _min, _add = np.maximum.reduce, np.minimum.reduce, np.add.reduce
+
 
 class Node:
     """One value in the computation graph.
@@ -318,7 +322,7 @@ class Node:
             )
         order = _reachable(self)
         order.sort(key=lambda n: n.uid, reverse=True)
-        self.grad = np.ones_like(self.value)
+        self.grad = np.ones(self.value.shape)
         for node in order:
             g = node.grad
             if g is None or not node._parents:
@@ -397,4 +401,4 @@ def linear(x: Node, w: Node) -> Node:
 
 def weighted_sum(x: Node, c: np.ndarray) -> Node:
     """<x, c> with c held constant, as one scalar node; x's adjoint is g * c."""
-    return Node((x.value * c).sum(), (x,), lambda g: (g * c,), op="weighted_sum")
+    return Node(_add(x.value * c, axis=None), (x,), lambda g: (g * c,), op="weighted_sum")

@@ -23,7 +23,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .autodiff import _CHUNK, Node, _split, _weight_grad, linear, parameter
+from .autodiff import _CHUNK, Node, _add, _max, _min, _split, _weight_grad, linear, parameter
 
 __all__ = ["RoutingBatch", "MoeLayer"]
 
@@ -33,11 +33,6 @@ _MASK_VALUE = -1e30
 # Logits below this in magnitude, added to the mask, round to within an ulp
 # of it, far below every selected logit.
 _INSIDE_MASK = 1e13
-
-
-# The reductions below call the ufuncs' `reduce` directly: the arithmetic of
-# `a.max(axis=1)` and `a.sum(axis=1)` without their Python wrappers.
-_max, _min, _add = np.maximum.reduce, np.minimum.reduce, np.add.reduce
 
 
 def _softmax_rows(a: np.ndarray) -> np.ndarray:
@@ -204,7 +199,7 @@ class MoeLayer:
         router still receives a gradient.
 
         Three graph nodes: the logits, p_bar and the weights, each with a
-        hand-written VJP (the softmax VJP, fed broadcast(g / T) for p_bar).
+        hand-written VJP (the softmax VJP, fed g / T for p_bar).
         p_bar is created before the weights, so the logits receive the
         weights' adjoint first.
         """
@@ -219,7 +214,7 @@ class MoeLayer:
         p_bar = Node(
             _add(probs, axis=0) / n_tokens,  # np.mean's arithmetic, without its wrapper
             (logits,),
-            lambda g: (_softmax_rows_vjp(probs, np.broadcast_to(g / n_tokens, probs.shape)),),
+            lambda g: (_softmax_rows_vjp(probs, g / n_tokens),),
             op="p_bar",
         )
         # Flat positions of the selected (token, expert) entries.
@@ -298,7 +293,7 @@ class MoeLayer:
 
         def vjp(g: np.ndarray) -> tuple:
             dbuf = np.empty((n_tokens * k, dim)) if need_dx else None
-            dw = np.zeros_like(wv)
+            dw = np.zeros(wv.shape)
             per_group = _split(
                 self._group_backward, saved, g, xv, tokens, experts, order, pair_w, dw, dbuf
             )
@@ -347,7 +342,7 @@ class MoeLayer:
         lo, hi, spans, a, b, s, silu, act, y = saved
         rows = tokens[lo:hi]
         gr = g[rows]
-        dw[rows, experts[lo:hi]] = (gr * y).sum(axis=1)
+        dw[rows, experts[lo:hi]] = _add(gr * y, axis=1)
         dy = gr * pair_w[lo:hi]
         d_act = np.empty((hi - lo, self.ffn_dim))
         d_w1, d_w2 = [], []

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .autodiff import _CHUNK, Node, _split, constant, linear, parameter
+from .autodiff import _CHUNK, Node, _add, _max, _split, constant, linear, parameter
 from .balancer import BalanceConfig, BalancerState, total_loss
 from .corpus import CorpusSpec, sample_batch
 from .metrics import accuracy, gini, max_vio
@@ -283,36 +283,36 @@ def cross_entropy(logits: Node, labels: np.ndarray) -> Node:
     """
     v = logits.value
     n, c = v.shape
-    shifted = v - v.max(axis=1, keepdims=True)
+    shifted = v - _max(v, axis=1, keepdims=True)
     e = np.exp(shifted)
-    s = e.sum(axis=1, keepdims=True)
+    s = _add(e, axis=1, keepdims=True)
     log_probs = shifted - np.log(s)
     onehot = np.zeros((n, c))
     onehot[np.arange(n), labels] = 1.0
     scale = -1.0 / n
 
     def vjp(g):
-        d_log_probs = np.broadcast_to(g * scale, (n, c)) * onehot
-        d_s = (-d_log_probs).sum(axis=1, keepdims=True) / s
+        d_log_probs = (g * scale) * onehot
+        d_s = _add(-d_log_probs, axis=1, keepdims=True) / s
         return (d_log_probs + d_s * e,)
 
-    return Node((log_probs * onehot).sum() * scale, (logits,), vjp, op="cross_entropy")
+    return Node(_add(log_probs * onehot, axis=None) * scale, (logits,), vjp, op="cross_entropy")
 
 
 def squared_error(pred: Node, targets: np.ndarray) -> Node:
     """Mean squared error of pred against targets, as one graph node.
 
     Forward and VJP keep the op order of the chain d = pred - targets,
-    (d * d).mean(): each factor of the square passes back
-    broadcast(g / n) * d, and pred's adjoint is the sum of the two.
+    (d * d).mean(): each factor of the square passes back (g / n) * d, and
+    pred's adjoint is the sum of the two.
     """
     d = pred.value - targets.reshape(pred.shape)
 
     def vjp(g):
-        half = np.broadcast_to(g / d.size, d.shape) * d
+        half = (g / d.size) * d
         return (half + half,)
 
-    return Node((d * d).mean(), (pred,), vjp, op="squared_error")
+    return Node(_add(d * d, axis=None) / d.size, (pred,), vjp, op="squared_error")
 
 
 # -- run records ---------------------------------------------------------------------

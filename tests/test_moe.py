@@ -367,13 +367,19 @@ def test_forward_node_count_does_not_grow_with_experts():
 
 
 
-def per_expert_reference(layer, xv, wv, selections, g):
+def textbook_gate_grad(a, s, silu):
+    """d silu(a) / da = s (1 + a (1 - s)), with s = sigmoid(a)."""
+    return s * (1.0 + a * (1.0 - s))
+
+
+def per_expert_reference(layer, xv, wv, selections, g, gate_grad=textbook_gate_grad):
     """The expert node as a plain-numpy loop over active experts, with its
     adjoint g: each expert's token-ascending rows run through
     `expert_forward` and are added into the output in ascending expert
     order, and x is added last (the residual). Returns the output and the
     gradients of x (g, the residual's share, plus the experts'), the
-    weights and each active expert's w1 and w2."""
+    weights and each active expert's w1 and w2. ``gate_grad(a, s, silu)``
+    is the SiLU's derivative."""
     ffn = layer.ffn_dim
     out, dx, dw = np.zeros_like(xv), np.zeros_like(xv), np.zeros_like(wv)
     d_w1, d_w2 = {}, {}
@@ -390,7 +396,7 @@ def per_expert_reference(layer, xv, wv, selections, g):
         d_w2[e] = (act.T @ dy).T
         d_act = dy @ w2t.T
         dh = np.empty((rows.size, 2 * ffn))
-        dh[:, :ffn] = d_act * b * (s * (1.0 + a * (1.0 - s)))
+        dh[:, :ffn] = d_act * b * gate_grad(a, s, silu)
         dh[:, ffn:] = d_act * silu
         d_w1[e] = (u.T @ dh).T
         dx[rows] += dh @ w1t.T
@@ -398,10 +404,7 @@ def per_expert_reference(layer, xv, wv, selections, g):
 
 
 _EVERY_THIRD_OFF = np.where(np.arange(12) % 3 == 1, -1e3, 0.0)
-
-
-@pytest.mark.parametrize("x_requires_grad", [True, False])
-@pytest.mark.parametrize(
+_LAYOUTS = pytest.mark.parametrize(
     "layout,n_experts,top_k,dim,ffn_dim,n_tokens,bias",
     [
         ("one-group", 8, 2, 16, 32, 64, None),
@@ -412,6 +415,10 @@ _EVERY_THIRD_OFF = np.where(np.arange(12) % 3 == 1, -1e3, 0.0)
         ("inactive-between", 12, 3, 16, 64, 512, _EVERY_THIRD_OFF),
     ],
 )
+
+
+@pytest.mark.parametrize("x_requires_grad", [True, False])
+@_LAYOUTS
 def test_expert_node_matches_per_expert_loop_bitwise(
     layout, n_experts, top_k, dim, ffn_dim, n_tokens, bias, x_requires_grad
 ):
@@ -462,6 +469,31 @@ def test_expert_node_matches_per_expert_loop_bitwise(
                 np.testing.assert_array_equal(w1.grad, d_w1[e])
                 np.testing.assert_array_equal(w2.grad, d_w2[e])
                 assert (w1.grad is w1.out) == (w2.grad is w2.out) == held
+
+
+@_LAYOUTS
+def test_expert_node_adjoints_match_the_textbook_gate_derivative(
+    layout, n_experts, top_k, dim, ffn_dim, n_tokens, bias
+):
+    # Whatever form of the SiLU's derivative the node takes, its x, w1 and
+    # w2 adjoints stay within rounding of the textbook form's: at most 1e-12
+    # of each array's largest magnitude.
+    layer = make_layer(n_experts=n_experts, top_k=top_k, dim=dim, ffn_dim=ffn_dim, seed=25)
+    rng = np.random.default_rng(26)
+    x_arr = rng.standard_normal((n_tokens, dim))
+    g = rng.standard_normal((n_tokens, dim))
+    x = parameter(x_arr.copy())
+    routing = layer.route(constant(x_arr), bias)
+    weighted_sum(layer.forward(x, routing), g).backward()
+    _, dx, _, d_w1, d_w2 = per_expert_reference(
+        layer, x_arr, routing.weights.value, routing.selections, g, textbook_gate_grad
+    )
+    pairs = [(x.grad, dx)]
+    pairs += [(layer.w1[e].grad, d_w1[e]) for e in d_w1]
+    pairs += [(layer.w2[e].grad, d_w2[e]) for e in d_w2]
+    assert len(pairs) == 1 + 2 * np.count_nonzero(routing.counts)
+    for got, want in pairs:
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def _wide_expert_pass(layer, x_arr, g):

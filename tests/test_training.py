@@ -220,12 +220,12 @@ def _reference_optimizer(cfg, values, grads, total_steps):
         yield values
 
 
-@pytest.mark.parametrize("kind", ["sgd", "adamw"])
-def test_flat_optimizer_matches_per_array_formula_bitwise(kind):
-    # Four chunks: a 0-d parameter; one larger than a chunk; a run of two;
-    # a last one. Parameter 3 has no gradient on alternate steps, between
-    # parameters that have one. A zero weight decay skips the decay passes;
-    # SGD takes none.
+def _four_chunk_steps(kind, weight_decay):
+    """Seven steps of an optimizer over four chunks beside
+    `_reference_optimizer`: yields (parameter, reference value) pairs after
+    each step. The chunks: a 0-d parameter; one larger than a chunk; a run
+    of two; a last one. Parameter 3 has no gradient on alternate steps,
+    between parameters that have one."""
     shapes = [(), (_CHUNK + 7,), (_CHUNK // 4, 2), (8, 16), (3, _CHUNK // 3)]
     rng = np.random.default_rng(12)
     values = [rng.standard_normal(s) for s in shapes]
@@ -234,20 +234,36 @@ def test_flat_optimizer_matches_per_array_formula_bitwise(kind):
         [None if (i == 3 and t % 2) else rng.standard_normal(s) for i, s in enumerate(shapes)]
         for t in range(steps)
     ]
+    cfg = OptimizerConfig(kind=kind, lr=0.05, weight_decay=weight_decay, warmup_steps=2, cosine=True)
+    params = [parameter(v.copy()) for v in values]
+    opt = Optimizer(cfg, params, steps)
+    assert len(opt._chunks) == 4
+    for step_grads, expected in zip(grads, _reference_optimizer(cfg, values, grads, steps)):
+        for p, g in zip(params, step_grads):
+            p.grad = None if g is None else g.copy()
+        opt.step()
+        for p, want in zip(params, expected):
+            assert p.value.shape == want.shape
+            yield p.value, want
+
+
+@pytest.mark.parametrize("kind", ["sgd", "adamw"])
+def test_flat_optimizer_matches_per_array_formula_bitwise(kind):
+    # A zero weight decay skips the decay passes; SGD takes none.
     for weight_decay in (0.01, 0.0) if kind == "adamw" else (0.0,):
-        cfg = OptimizerConfig(
-            kind=kind, lr=0.05, weight_decay=weight_decay, warmup_steps=2, cosine=True
-        )
-        params = [parameter(v.copy()) for v in values]
-        opt = Optimizer(cfg, params, steps)
-        assert len(opt._chunks) == 4
-        for step_grads, expected in zip(grads, _reference_optimizer(cfg, values, grads, steps)):
-            for p, g in zip(params, step_grads):
-                p.grad = None if g is None else g.copy()
-            opt.step()
-            for p, want in zip(params, expected):
-                assert p.value.shape == want.shape
-                assert p.value.tobytes() == want.tobytes()
+        for got, want in _four_chunk_steps(kind, weight_decay):
+            assert got.tobytes() == want.tobytes()
+
+
+def test_adamw_matches_the_textbook_formula_to_rounding():
+    # Whatever form of the update the optimizer takes, every parameter stays
+    # within rounding of the textbook per-array AdamW in
+    # `_reference_optimizer` (bias-corrected moments, then
+    # lr * (m_hat / (sqrt(v_hat) + eps) + wd * p)): at most 1e-12 of its
+    # largest magnitude.
+    for weight_decay in (0.01, 0.0):
+        for got, want in _four_chunk_steps("adamw", weight_decay):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("kind", ["sgd", "adamw"])
