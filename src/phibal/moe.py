@@ -350,7 +350,8 @@ class MoeLayer:
             d_w2.append(_weight_grad(self.w2[e], act[sl], dy[sl]))
             np.matmul(dy[sl], w2t.T, out=d_act[sl])
         dh = np.empty((hi - lo, 2 * self.ffn_dim))
-        np.multiply(d_act * b, s * (1.0 + a * (1.0 - s)), out=dh[:, : self.ffn_dim])
+        # silu'(a) = s (1 + a (1 - s)) = s + silu (1 - s), from the saved silu.
+        np.multiply(d_act * b, s + silu * (1.0 - s), out=dh[:, : self.ffn_dim])
         np.multiply(d_act, silu, out=dh[:, self.ffn_dim :])
         u = xv[rows]  # gathered again: kept, it would raise peak memory
         du = None if dbuf is None else np.empty((hi - lo, xv.shape[1]))

@@ -184,11 +184,16 @@ class Optimizer:
 
     def step(self) -> None:
         self.t += 1
+        cfg = self.cfg
         lr = self.learning_rate()
-        b1, b2 = self.cfg.beta1, self.cfg.beta2
-        _split(self._update, self._chunks, lr, 1.0 - b1**self.t, 1.0 - b2**self.t)
+        # Kingma & Ba's efficient form of the bias-corrected update:
+        # lr * (m / c1) / (sqrt(v / c2) + eps)
+        #     = (lr * sqrt(c2) / c1) * m / (sqrt(v) + eps * sqrt(c2)).
+        root_c2 = math.sqrt(1.0 - cfg.beta2**self.t)
+        step_size = lr * root_c2 / (1.0 - cfg.beta1**self.t)
+        _split(self._update, self._chunks, lr, step_size, cfg.eps * root_c2)
 
-    def _update(self, chunk: tuple, lr: float, c1: float, c2: float) -> None:
+    def _update(self, chunk: tuple, lr: float, step_size: float, eps_hat: float) -> None:
         """Apply one step to a chunk with the calling thread's temporaries."""
         span, members = chunk
         cfg = self.cfg
@@ -218,17 +223,15 @@ class Optimizer:
         np.multiply(1.0 - b2, g, out=tmp)
         np.multiply(tmp, g, out=tmp)
         np.add(v, tmp, out=v)
-        # p -= lr * ((m / c1) / (sqrt(v / c2) + eps) + wd * p); a zero wd
-        # is skipped, which can flip only the sign of an exactly-zero update.
-        np.divide(v, c2, out=tmp)
-        np.sqrt(tmp, out=tmp)
-        np.add(tmp, cfg.eps, out=tmp)
-        np.divide(m, c1, out=tmp2)
-        np.divide(tmp2, tmp, out=tmp)
+        # p -= step_size * (m / (sqrt(v) + eps_hat)) + (lr * wd) * p; a zero
+        # wd is skipped, which can flip only the sign of an exactly-zero update.
+        np.sqrt(v, out=tmp)
+        np.add(tmp, eps_hat, out=tmp)
+        np.divide(m, tmp, out=tmp)
+        np.multiply(step_size, tmp, out=tmp)
         if cfg.weight_decay != 0.0:
-            np.multiply(cfg.weight_decay, p, out=tmp2)
+            np.multiply(lr * cfg.weight_decay, p, out=tmp2)
             np.add(tmp, tmp2, out=tmp)
-        np.multiply(lr, tmp, out=tmp)
         np.subtract(p, tmp, out=p)
 
 
