@@ -165,15 +165,38 @@ def write_run_csv(path, cfg: TrainConfig, record: RunRecord) -> None:
 
 
 def read_run_csv(path) -> list[dict]:
-    """A run CSV's rows as dicts of parsed values; another schema version is refused."""
+    """A run CSV's rows as dicts of parsed values. Another schema version, a
+    row with a missing or extra cell and a cell its column cannot parse are
+    refused with a `ConfigError` naming the file (and the line, the column
+    and the cell)."""
     with open(path, newline="") as fh:
         first = fh.readline().rstrip("\r\n")
         if first != _HEADER:
             raise ConfigError(f"{path}: expected header {_HEADER!r}, found {first!r}")
-        reader = csv.DictReader(fh)
-        if tuple(reader.fieldnames or ()) != CSV_SCHEMA:
-            raise ConfigError(f"{path}: unexpected columns {reader.fieldnames}")
-        return [{col: parse(raw[col]) for col, parse in _COLUMNS.items()} for raw in reader]
+        reader = csv.reader(fh)
+        columns = next(reader, None)
+        if tuple(columns or ()) != CSV_SCHEMA:
+            raise ConfigError(f"{path}: unexpected columns {columns}")
+        rows = []
+        for cells in reader:
+            if not cells:  # a blank line
+                continue
+            where = f"{path}: line {reader.line_num + 1}"  # line 1 is the version header
+            if len(cells) > len(CSV_SCHEMA):
+                extra = cells[len(CSV_SCHEMA)]
+                raise ConfigError(f"{where}: extra cell {extra!r} after column {CSV_SCHEMA[-1]!r}")
+            row = {}
+            for i, (col, parse) in enumerate(_COLUMNS.items()):
+                if i == len(cells):
+                    raise ConfigError(f"{where}: column {col!r} has no cell")
+                try:
+                    row[col] = parse(cells[i])
+                except ValueError:
+                    raise ConfigError(
+                        f"{where}: column {col!r} cell {cells[i]!r} does not parse as {parse.__name__}"
+                    ) from None
+            rows.append(row)
+        return rows
 
 
 # -- plan execution -----------------------------------------------------------------

@@ -278,6 +278,29 @@ def test_csv_of_another_schema_version_is_refused(tmp_path):
         read_run_csv(path)
 
 
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda row: "10,0,", r"line 4: column 'task_loss' cell '' does not parse as float"),
+        (lambda row: "10,0", r"line 4: column 'task_loss' has no cell"),
+        (lambda row: row + ",7", r"line 4: extra cell '7' after column 'seed'"),
+        (lambda row: "ten" + row[2:], r"line 4: column 'step' cell 'ten' does not parse as int"),
+    ],
+    ids=["empty-cell", "short-row", "extra-cell", "bad-int"],
+)
+def test_csv_with_a_malformed_row_is_refused(tmp_path, edit, message):
+    cfg = TrainConfig(seed=0)
+    path = tmp_path / "run.csv"
+    row = EvalRow(10, 0, 1.0, 0.5, 0.25, 0.125, "0" * 16)
+    write_run_csv(path, cfg, RunRecord([row, row._replace(layer=1)]))
+    lines = path.read_text().splitlines()
+    assert len(read_run_csv(path)) == 2
+    lines[3] = edit(lines[3])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match=r"run\.csv: " + message):
+        read_run_csv(path)
+
+
 def _hand_built_run(tmp_path, seed, final_loss, final_vios):
     """A run CSV of two eval steps x two layers, written without training."""
     cfg = TrainConfig(
