@@ -7,7 +7,9 @@ shared, with per-run wall times kept for the runtime criteria.
 
 from __future__ import annotations
 
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -36,14 +38,22 @@ def run_labels() -> list[str]:
     return labels
 
 
+def _timed_run(run: tuple[str, int]):
+    """(RunRecord, seconds) of one bank run, timed inside the process that runs it."""
+    label, seed = run
+    cfg = with_seed(TrainConfig(balance=_balance_for(label)), seed)
+    started = time.perf_counter()
+    record = train(cfg)
+    return record, time.perf_counter() - started
+
+
 @pytest.fixture(scope="session")
 def run_bank():
-    """{(label, seed): (RunRecord, seconds)} for every full-length run."""
-    bank = {}
-    for label in run_labels():
-        for seed in SEEDS:
-            cfg = with_seed(TrainConfig(balance=_balance_for(label)), seed)
-            started = time.perf_counter()
-            record = train(cfg)
-            bank[(label, seed)] = (record, time.perf_counter() - started)
-    return bank
+    """{(label, seed): (RunRecord, seconds)} for every full-length run, in
+    label-then-seed order. The runs are built across processes, one per
+    usable core and no more than there are runs; a run's result does not
+    depend on the process that runs it."""
+    runs = [(label, seed) for label in run_labels() for seed in SEEDS]
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    with ProcessPoolExecutor(max_workers=max(1, min(cores or 1, len(runs)))) as pool:
+        return dict(zip(runs, pool.map(_timed_run, runs)))
