@@ -245,6 +245,36 @@ _F64 = np.dtype(np.float64)
 # `a.sum(axis=1)` and the like without their Python wrappers.
 _max, _min, _add = np.maximum.reduce, np.minimum.reduce, np.add.reduce
 
+# Largest output `_mm` computes by `ndarray.dot` (the measured crossover):
+# dot makes the same BLAS call as matmul without the gufunc's setup, which
+# outweighs a tiny GEMM's arithmetic, but it runs slower on larger outputs.
+_DOT_MAX = 4096
+# Widest rows `_row_max` reduces from a transposed copy: on narrow rows the
+# column-wise reduce beats the per-row one, on wide ones the copy costs more.
+_NARROW = 16
+
+
+def _mm(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``np.matmul(a, b, out=out)``, with its bits, for 2-D float64 operands:
+    by `ndarray.dot` where ``out`` is C-contiguous (as dot requires) and
+    holds at most `_DOT_MAX` elements."""
+    if out.size <= _DOT_MAX and out.flags.c_contiguous:
+        return a.dot(b, out=out)
+    return np.matmul(a, b, out=out)
+
+
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """Each row's maximum of a 2-D array, as an (n, 1) column: the values of
+    ``_max(a, axis=1, keepdims=True)``. Rows of at most `_NARROW` columns
+    reduce a transposed copy down its columns instead. The two reduces meet
+    the elements in another order, so a row whose maximum is a zero or a NaN
+    may get it with the other sign. A caller that only exponentiates the
+    rows shifted by their maximum, as the softmaxes do, gets the same bits
+    from either, but for the sign of a NaN."""
+    if a.shape[1] <= _NARROW:
+        return _max(a.T.copy(), axis=0)[:, None]
+    return _max(a, axis=1, keepdims=True)
+
 
 class Node:
     """One value in the computation graph.
@@ -325,7 +355,7 @@ class Node:
         self.grad = np.ones(self.value.shape)
         for node in order:
             g = node.grad
-            if g is None or not node._parents:
+            if g is None:
                 continue
             for parent, contrib in zip(node._parents, node._vjp(g)):
                 if parent is None:
@@ -341,13 +371,18 @@ class Node:
 
 
 def _reachable(root: Node) -> list[Node]:
+    """The nodes with parents that backward reaches from ``root``. Leaves
+    pass no adjoint on, so they are left out; their parents' VJPs still
+    hand them theirs."""
+    if not root._parents:
+        return []
     seen: set[int] = {id(root)}
     out = [root]
     stack = [root]
     while stack:
         node = stack.pop()
         for parent in node._parents:
-            if parent is not None and id(parent) not in seen:
+            if parent is not None and parent._parents and id(parent) not in seen:
                 seen.add(id(parent))
                 out.append(parent)
                 stack.append(parent)
@@ -374,7 +409,7 @@ def _weight_grad(w: Node, u: np.ndarray, d: np.ndarray) -> np.ndarray:
     """(u.T @ d).T, written into w.out when w has one and no gradient yet."""
     if w.out is None or w.grad is not None:
         return (u.T @ d).T
-    np.matmul(u.T, d, out=w.out.T)
+    _mm(u.T, d, w.out.T)
     return w.out
 
 
@@ -394,9 +429,10 @@ def linear(x: Node, w: Node) -> Node:
     need_dx, need_dw = x.requires_grad, w.requires_grad
 
     def vjp(g: np.ndarray) -> tuple:
-        return (g @ wt.T if need_dx else None, _weight_grad(w, xv, g) if need_dw else None)
+        dx = _mm(g, wt.T, np.empty(xv.shape)) if need_dx else None
+        return (dx, _weight_grad(w, xv, g) if need_dw else None)
 
-    return Node(xv @ wt, (x, w), vjp, op="linear")
+    return Node(_mm(xv, wt, np.empty((xv.shape[0], wt.shape[1]))), (x, w), vjp, op="linear")
 
 
 def weighted_sum(x: Node, c: np.ndarray) -> Node:

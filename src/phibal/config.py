@@ -12,6 +12,7 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 from .corpus import CorpusSpec
+from .schema import check_value
 from .training import (
     BalanceConfig,
     ModelConfig,
@@ -67,10 +68,16 @@ def _check_keys(section: str, data: dict, allowed: Container[str]) -> None:
             raise ConfigError(f"unknown key {key!r} in section {section!r}")
 
 
-def _from_yaml(value):
-    """YAML lists (corpus mixture and centers) become tuples of floats."""
+def _from_yaml(section: str, key: str, value):
+    """YAML lists (corpus mixture and centers) become tuples of floats, each
+    element held to a float field's rule: an int becomes a float, and a bool,
+    a string or any other type is refused, naming section, key and element."""
     if isinstance(value, list):
-        return tuple(_from_yaml(v) if isinstance(v, list) else float(v) for v in value)
+        return tuple(
+            _from_yaml(section, key, v) if isinstance(v, list)
+            else check_value(section, key, "float", {}, v)
+            for v in value
+        )
     return value
 
 
@@ -89,7 +96,9 @@ def config_from_dict(raw: dict) -> TrainConfig:
 
     try:
         kwargs = {
-            section: {keys[key]: _from_yaml(v) for key, v in raw.get(section, {}).items()}
+            section: {
+                keys[key]: _from_yaml(section, key, v) for key, v in raw.get(section, {}).items()
+            }
             for section, keys in _SECTIONS.items()
         }
         model = ModelConfig(**kwargs["model"])

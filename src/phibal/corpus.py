@@ -31,9 +31,9 @@ class CorpusSpec:
 
     ``mixture`` gives the expected fraction of each domain per batch.
     ``centers`` may be provided explicitly; by default they are unit-norm
-    directions drawn from the spec seed. The center and teacher arrays are
-    built on first use and kept by the spec; they are not fields, so
-    equality and the serialized config ignore them.
+    directions drawn from the spec seed. The center and teacher arrays and
+    the mixture's CDF are built on first use and kept by the spec; they are
+    not fields, so equality and the serialized config ignore them.
     """
 
     n_domains: int = field(metadata=within("[2, inf)"))
@@ -75,6 +75,15 @@ class CorpusSpec:
         return centers
 
     @cached_property
+    def _cdf(self) -> np.ndarray:
+        """The mixture's cumulative sums over their total, as
+        `Generator.choice` builds them."""
+        cdf = np.asarray(self.mixture, dtype=np.float64).cumsum()
+        cdf /= cdf[-1]
+        cdf.flags.writeable = False
+        return cdf
+
+    @cached_property
     def _teacher_array(self) -> np.ndarray:
         rng = np.random.default_rng((self.seed, _TEACHER_STREAM))
         teacher = rng.standard_normal(self.dim) / self.dim**0.5
@@ -108,13 +117,10 @@ def sample_batch(
     """
     if n_tokens < 1:
         raise ValueError(f"need at least one token, got {n_tokens}")
-    mixture = np.asarray(spec.mixture, dtype=np.float64)
     rng = np.random.default_rng((spec.seed, _BATCH_STREAM, step))
     # What `rng.choice(n_domains, n_tokens, p=mixture)` draws, bit for bit,
     # without its checks of a mixture the spec has already checked.
-    cdf = mixture.cumsum()
-    cdf /= cdf[-1]
-    domain_ids = cdf.searchsorted(rng.random(n_tokens), side="right")
+    domain_ids = spec._cdf.searchsorted(rng.random(n_tokens), side="right")
     centers = domain_centers(spec)
     x = centers[domain_ids] + spec.cluster_scale * rng.standard_normal(
         (n_tokens, spec.dim)

@@ -23,7 +23,19 @@ from itertools import accumulate
 
 import numpy as np
 
-from .autodiff import _CHUNK, Node, _add, _max, _min, _split, _weight_grad, linear, parameter
+from .autodiff import (
+    _CHUNK,
+    Node,
+    _add,
+    _max,
+    _min,
+    _mm,
+    _row_max,
+    _split,
+    _weight_grad,
+    linear,
+    parameter,
+)
 
 __all__ = ["RoutingBatch", "MoeLayer"]
 
@@ -37,7 +49,7 @@ _INSIDE_MASK = 1e13
 
 def _softmax_rows(a: np.ndarray) -> np.ndarray:
     """Row-wise softmax, stabilized by row-max subtraction."""
-    e = np.exp(a - _max(a, axis=1, keepdims=True))
+    e = np.exp(a - _row_max(a))
     return e / _add(e, axis=1, keepdims=True)
 
 
@@ -60,7 +72,7 @@ def _selected_softmax(lv: np.ndarray, at: np.ndarray) -> np.ndarray:
     if _max(lv, axis=None) < _INSIDE_MASK and _min(lv, axis=None) > -_INSIDE_MASK:
         picked = lv.ravel()[at]
         e = np.zeros(lv.size)
-        e[at] = np.exp(picked - _max(picked, axis=1, keepdims=True))
+        e[at] = np.exp(picked - _row_max(picked))
         e = e.reshape(lv.shape)
         return e / _add(e, axis=1, keepdims=True)
     mask = np.full(lv.size, _MASK_VALUE)
@@ -320,14 +332,14 @@ class MoeLayer:
             # transposed view differently): an optimizer's arena itself.
             w1t = np.ascontiguousarray(self.w1[e].value.T)
             w2t = np.ascontiguousarray(self.w2[e].value.T)
-            np.matmul(u[sl], w1t, out=h[sl])
+            _mm(u[sl], w1t, h[sl])
             spans.append((sl, e, w1t, w2t))
         a, b = h[:, :ffn], h[:, ffn:]
         s = 0.5 * (1.0 + np.tanh(0.5 * a))
         silu = a * s
         act = silu * b
         for sl, _, _, w2t in spans:
-            np.matmul(act[sl], w2t, out=y[sl])
+            _mm(act[sl], w2t, y[sl])
         buf[order[lo:hi]] = pair_w[lo:hi] * y
         return lo, hi, spans, a, b, s, silu, act, y
 
@@ -348,7 +360,7 @@ class MoeLayer:
         d_w1, d_w2 = [], []
         for sl, e, _, w2t in spans:
             d_w2.append(_weight_grad(self.w2[e], act[sl], dy[sl]))
-            np.matmul(dy[sl], w2t.T, out=d_act[sl])
+            _mm(dy[sl], w2t.T, d_act[sl])
         dh = np.empty((hi - lo, 2 * self.ffn_dim))
         # silu'(a) = s (1 + a (1 - s)) = s + silu (1 - s), from the saved silu.
         np.multiply(d_act * b, s + silu * (1.0 - s), out=dh[:, : self.ffn_dim])
@@ -358,7 +370,7 @@ class MoeLayer:
         for sl, e, w1t, _ in spans:
             d_w1.append(_weight_grad(self.w1[e], u[sl], dh[sl]))
             if du is not None:
-                np.matmul(dh[sl], w1t.T, out=du[sl])
+                _mm(dh[sl], w1t.T, du[sl])
         if du is not None:
             dbuf[order[lo:hi]] = du
         return d_w1, d_w2

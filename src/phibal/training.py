@@ -286,6 +286,8 @@ def cross_entropy(logits: Node, labels: np.ndarray) -> Node:
     """
     v = logits.value
     n, c = v.shape
+    # The per-row reduce, not `autodiff._row_max`: log_probs keep the sign
+    # of a zero in `shifted`, so the row max must keep its zero's sign.
     shifted = v - _max(v, axis=1, keepdims=True)
     e = np.exp(shifted)
     s = _add(e, axis=1, keepdims=True)

@@ -21,7 +21,8 @@ from phibal.autodiff import (
 )
 from phibal.balancer import total_loss
 from phibal.checks import build_gradcheck_instance, finite_diff_gradient, gradient_max_rel_error
-from phibal.training import cross_entropy
+from phibal.moe import _selected_softmax, _softmax_rows
+from phibal.training import Trainer, TrainConfig, cross_entropy
 
 
 def softmax_rows(a: np.ndarray) -> np.ndarray:
@@ -110,6 +111,128 @@ def test_linear_matches_transpose_then_matmul_bitwise():
         np.testing.assert_array_equal(a, b)
     with pytest.raises(ShapeError, match=r"linear.*7, 5.*4, 6"):
         linear(constant(x_arr), constant(np.ones((4, 6))))
+
+
+def _bits(a: np.ndarray) -> tuple:
+    return a.shape, a.tobytes()
+
+
+# (m, n, p) of a product (m, n) @ (n, p): the acceptance shape's per-expert
+# GEMMs, router and head (16 rows), a one-row expert, the train_wide shape's
+# (64 rows, D=64, F=128, a 1024-token router), and both sides of the guard.
+_MM_SHAPES = [
+    (16, 16, 64), (16, 32, 16), (16, 64, 16), (16, 16, 32), (64, 16, 8), (64, 16, 4),
+    (1, 16, 64), (1, 64, 16), (16, 1, 16),
+    (64, 64, 256), (64, 128, 64), (64, 64, 128), (64, 256, 64), (1024, 64, 64),
+    (64, 64, 64), (65, 64, 64), (4096, 3, 1), (4097, 3, 1),
+]
+
+
+@pytest.mark.parametrize("m, n, p", _MM_SHAPES)
+def test_mm_keeps_the_bits_of_matmul(m, n, p):
+    # `_mm` takes ndarray.dot up to `_DOT_MAX` output elements and matmul
+    # above; each operand form a step uses must keep matmul's bits.
+    rng = np.random.default_rng(m * 10007 + n * 101 + p)
+    a, w = rng.standard_normal((m, n)), rng.standard_normal((p, n))
+    wt = np.ascontiguousarray(w.T)  # an expert's w1t/w2t
+
+    def both(x, y, make_out):
+        want, got = make_out(), make_out()
+        np.matmul(x, y, out=want)
+        assert autodiff._mm(x, y, got) is got
+        assert _bits(got) == _bits(want)
+
+    both(a, wt, lambda: np.empty((m, p)))  # plain, as the forward's GEMMs
+    both(a, w.T, lambda: np.empty((m, p)))  # a transposed view, as dx = g @ wt.T
+    # A row slice of a larger C-contiguous output, as a group's h[sl].
+    rows = slice(2, 2 + m)
+    want, got = np.full((m + 4, p), np.nan), np.full((m + 4, p), np.nan)
+    np.matmul(a, wt, out=want[rows])
+    autodiff._mm(a, wt, got[rows])
+    assert _bits(got) == _bits(want)
+    # u.T @ d into w.out.T, which for an optimizer's weight is a C-contiguous
+    # slice of its gradient arena.
+    u, d = rng.standard_normal((n, m)), rng.standard_normal((n, p))
+    both(u.T, d, lambda: np.empty((m, p)))
+    # An output dot cannot take (not C-contiguous) goes to matmul.
+    both(a, wt, lambda: np.empty((p, m)).T)
+
+
+def _with_specials(rng, rows, width):
+    """Gaussian rows with NaNs, infinities and zeros of both signs mixed in;
+    in the first quarter of the rows the maximum is a zero (or a NaN)."""
+    a = rng.standard_normal((rows, width))
+    hit = rng.random(a.shape) < 0.3
+    a[hit] = rng.choice(np.array([np.nan, np.inf, -np.inf, 0.0, -0.0]), hit.sum())
+    zeros = rng.standard_normal(a.shape) < -1.0
+    a[zeros] = np.copysign(0.0, rng.standard_normal(zeros.sum()))
+    a[: rows // 4] = -np.abs(a[: rows // 4])
+    a[: rows // 4, 0] = np.copysign(0.0, rng.standard_normal(rows // 4))
+    return a
+
+
+@pytest.mark.parametrize("width", [1, 2, 4, 8, 9, 16, 17, 33, 64])
+def test_row_max_matches_the_per_row_reduce(width):
+    # Every value, and the sign of every maximum that is not a zero or a NaN;
+    # those two may come out with either sign, as the reduce order decides.
+    rng = np.random.default_rng(width)
+    for rows in (1, 7, 64, 512, 1024):
+        a = _with_specials(rng, rows, width)
+        want = np.maximum.reduce(a, axis=1, keepdims=True)
+        got = autodiff._row_max(a)
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got, want)  # NaN where want is NaN
+        either = np.isnan(want) | (want == 0.0)
+        assert (np.signbit(got) == np.signbit(want))[~either].all()
+
+
+@pytest.mark.parametrize("width", [2, 4, 8, 9, 16, 17, 33])
+def test_softmaxes_on_the_row_max_keep_the_per_row_reduces_bits(width):
+    # What `_row_max` may change, the sign of a zero or NaN maximum, reaches
+    # the softmaxes' output only as the sign of a NaN.
+    def reference(a):
+        e = np.exp(a - np.maximum.reduce(a, axis=1, keepdims=True))
+        return e / e.sum(axis=1, keepdims=True)
+
+    rng = np.random.default_rng(100 + width)
+    with np.errstate(invalid="ignore"):
+        for rows in (1, 64, 1024):
+            a = _with_specials(rng, rows, width)
+            got, want = _softmax_rows(a), reference(a)
+            np.testing.assert_array_equal(got, want)
+            real = ~np.isnan(want)
+            assert got[real].tobytes() == want[real].tobytes()
+            # The picks of the selected softmax, on finite logits.
+            lv = rng.standard_normal((rows, width)) * 4.0
+            lv[: rows // 2, 0] = np.copysign(0.0, rng.standard_normal(rows // 2))
+            lv[: rows // 2, 1:] = -np.abs(lv[: rows // 2, 1:])
+            k = max(1, width // 2)
+            at = np.arange(0, lv.size, width)[:, None] + np.arange(k)
+            chosen = np.zeros(lv.size, dtype=bool)
+            chosen[at] = True
+            want = reference(lv + np.where(chosen.reshape(lv.shape), 0.0, -1e30))
+            assert _selected_softmax(lv, at).tobytes() == want.tobytes()
+
+
+def test_backward_walks_no_leaf_and_leaves_every_gradient_in_its_out(monkeypatch):
+    # In a default step's graph most nodes reachable from the loss are
+    # parameters. `_reachable` leaves every leaf out, and each parameter
+    # still receives its adjoint, written into its `out`, the optimizer's
+    # gradient arena.
+    roots = []
+    backward = Node.backward
+    monkeypatch.setattr(Node, "backward", lambda self: (roots.append(self), backward(self)))
+    trainer = Trainer(TrainConfig())
+    trainer.step()
+    (root,) = roots
+    walked = autodiff._reachable(root)
+    assert walked and all(node._parents for node in walked)
+    leaves = {id(p) for node in walked for p in node._parents if p is not None and not p._parents}
+    assert leaves == {id(p) for p in trainer.params if p.grad is not None}
+    assert len(leaves) > len(walked)
+    for p in trainer.params:
+        assert p.grad is None or p.grad is p.out
+    assert autodiff._reachable(trainer.params[0]) == []
 
 
 def test_backward_requires_scalar_root():

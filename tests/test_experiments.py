@@ -1,6 +1,7 @@
 import concurrent.futures
 import csv
 import multiprocessing
+import re
 import textwrap
 import threading
 from pathlib import Path
@@ -607,6 +608,39 @@ def test_bool_in_int_field_is_a_config_error():
     raw["model"]["layers"] = True
     with pytest.raises(ConfigError, match="model 'layers' must be an integer"):
         config_from_dict(raw)
+
+
+@pytest.mark.parametrize(
+    "key, value, bad",
+    [
+        ("mixture", [True, False, False], True),
+        ("mixture", ["0.5", "0.25", "0.25"], "0.5"),
+        ("mixture", [0.5, None, 0.5], None),
+        ("mixture", [2**1100, 0, 0], 2**1100),
+        ("centers", [[True] + [0] * 5, [0] * 6, [0] * 6], True),
+        ("centers", [[0] * 6, [0] * 5 + ["1"], [0] * 6], "1"),
+    ],
+)
+def test_corpus_list_element_that_is_not_a_number_is_a_config_error(key, value, bad):
+    # Accepted, `mixture: [true, false, false]` built the config of
+    # `mixture: [1.0, 0.0, 0.0]`, a quoted number was read as a number, and
+    # an int too large for a float raised an uncaught OverflowError.
+    raw = yaml.safe_load(TINY)
+    raw["corpus"][key] = value
+    message = rf"corpus '{key}' must be a number, got {re.escape(repr(bad))}$"
+    with pytest.raises(ConfigError, match=message):
+        config_from_dict(raw)
+
+
+def test_ints_in_a_corpus_list_become_floats():
+    raw = yaml.safe_load(TINY)
+    raw["corpus"]["mixture"] = [1, 0, 0]
+    raw["corpus"]["centers"] = [[1] + [0] * 5, [0] * 6, [0] * 5 + [2]]
+    corpus = config_from_dict(raw).corpus
+    assert corpus.mixture == (1.0, 0.0, 0.0)
+    assert corpus.centers[2] == (0.0,) * 5 + (2.0,)
+    values = [corpus.mixture, *corpus.centers]
+    assert all(type(v) is float for row in values for v in row)
 
 
 def test_fractional_float_in_int_field_is_a_config_error(tmp_path, capsys):
