@@ -197,8 +197,9 @@ def _split(fn: Callable, items: list, *args) -> list:
     every worker has finished its slice. With fewer than two parts, or the
     workers serving another call (a call from another thread, or from
     inside a slice), it is the plain loop. Each ``fn`` call must write only
-    memory no other item touches and build no `Node`, so the result cannot
-    depend on scheduling.
+    memory no item on another thread touches (its own rows of a shared
+    output, or its thread's own scratch) and build no `Node`, so the result
+    cannot depend on scheduling.
     """
     parts = _parts(len(items))
     if parts < 2 or not _busy.acquire(blocking=False):

@@ -13,11 +13,14 @@ single sort and loop per expert only for the matrix products; the
 elementwise gate, the weighting and the scatter run once per cache-sized
 group of experts, each group with its own activations, and the groups are
 split across threads. The tests hold the node bit for bit to a plain-numpy
-per-expert reference, and to itself run on one thread.
+per-expert reference, and to itself run on one thread. A forward-only pass
+(the trainer's eval) runs the same dispatch and GEMMs in per-thread scratch
+arrays that it reuses, and returns the layer's output as a leaf.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -126,6 +129,21 @@ def _sum_slots(pairs: np.ndarray, n_tokens: int) -> np.ndarray:
     for j in range(1, terms.shape[1]):
         out += terms[:, j]
     return out
+
+
+# Each thread's grow-only work arrays for forward-only expert passes.
+_scratch = threading.local()
+
+
+def _scratch_array(name: str, shape: tuple[int, int]) -> np.ndarray:
+    """A C-contiguous view of the calling thread's scratch array ``name``,
+    grown (never shrunk) to hold ``shape``; its contents are left over."""
+    size = shape[0] * shape[1]
+    have = getattr(_scratch, name, None)
+    if have is None or have.size < size:
+        have = np.empty(size)
+        setattr(_scratch, name, have)
+    return have[:size].reshape(shape)
 
 
 @dataclass
@@ -246,7 +264,7 @@ class MoeLayer:
 
     # -- experts -------------------------------------------------------------
 
-    def forward(self, x: Node, routing: RoutingBatch) -> Node:
+    def forward(self, x: Node, routing: RoutingBatch, *, forward_only: bool = False) -> Node:
         """x plus the router-weighted sum of the selected experts, as one
         graph node: the layer's residual add is part of it, so x's adjoint
         is the output's adjoint plus what flows back through the experts.
@@ -275,6 +293,13 @@ class MoeLayer:
         whichever thread runs it, the node is built on the caller and the
         weight gradients are collected in group order, so no bit depends on
         scheduling.
+
+        ``forward_only`` returns the same value as a leaf that no backward
+        reaches. The groups then work in their thread's scratch arrays and
+        keep nothing, and the scatter buffer is the caller's scratch, so a
+        repeated forward of one shape allocates no activations (an eval
+        that freed them would have the allocator hand their pages back to
+        the OS, and fault them in again on the next eval).
         """
         ffn, k = self.ffn_dim, self.top_k
         xv, wv = x.value, routing.weights.value
@@ -295,9 +320,14 @@ class MoeLayer:
             else:
                 groups.append([e])
 
+        dispatch = (xv, tokens, order, pair_w, starts, ends)
+        if forward_only:
+            buf = _scratch_array("buf", (n_tokens * k, dim))
+            _split(self._group_forward, groups, *dispatch, buf, False)
+            return Node(xv + _sum_slots(buf, n_tokens))
         buf = np.empty((n_tokens * k, dim))
         # Per group, what its backward reads.
-        saved = _split(self._group_forward, groups, xv, tokens, order, pair_w, starts, ends, buf)
+        saved = _split(self._group_forward, groups, *dispatch, buf, True)
         out = xv + _sum_slots(buf, n_tokens)
 
         parents = (x, routing.weights, *[self.w1[e] for e in active], *[self.w2[e] for e in active])
@@ -318,13 +348,27 @@ class MoeLayer:
 
         return Node(out, parents, vjp, op="moe_experts")
 
-    def _group_forward(self, group, xv, tokens, order, pair_w, starts, ends, buf) -> tuple:
-        """One group's experts: writes the group's rows of ``buf`` and returns
-        its own activations, what its backward reads."""
+    def _group_forward(
+        self, group, xv, tokens, order, pair_w, starts, ends, buf, keep
+    ) -> tuple | None:
+        """One group's experts: writes the group's rows of ``buf``. With
+        ``keep``, in activations of its own, which it returns: what its
+        backward reads. Without, in the calling thread's scratch arrays, in
+        place but in the same op order, so with the same bits; it keeps
+        nothing."""
         ffn = self.ffn_dim
         lo, hi = starts[group[0]], ends[group[-1]]
-        h, y = np.empty((hi - lo, 2 * ffn)), np.empty((hi - lo, xv.shape[1]))
-        u = xv[tokens[lo:hi]]
+        rows, dim = tokens[lo:hi], xv.shape[1]
+        if keep:
+            # In this order: gathering u first made small forwards about 2 %
+            # slower (where the allocator places the arrays; ROADMAP).
+            h, y = np.empty((hi - lo, 2 * ffn)), np.empty((hi - lo, dim))
+            u = xv[rows]
+        else:
+            u, y = _scratch_array("u", (hi - lo, dim)), _scratch_array("y", (hi - lo, dim))
+            h, act = _scratch_array("h", (hi - lo, 2 * ffn)), _scratch_array("act", (hi - lo, ffn))
+            # The rows are in range: "clip" skips "raise"'s buffered copy of u.
+            np.take(xv, rows, axis=0, out=u, mode="clip")
         spans = []
         for e in group:
             sl = slice(starts[e] - lo, ends[e] - lo)
@@ -335,13 +379,25 @@ class MoeLayer:
             _mm(u[sl], w1t, h[sl])
             spans.append((sl, e, w1t, w2t))
         a, b = h[:, :ffn], h[:, ffn:]
-        s = 0.5 * (1.0 + np.tanh(0.5 * a))
-        silu = a * s
-        act = silu * b
+        if keep:
+            s = 0.5 * (1.0 + np.tanh(0.5 * a))
+            silu = a * s
+            act = silu * b
+        else:
+            np.multiply(0.5, a, out=act)
+            np.tanh(act, out=act)
+            np.add(1.0, act, out=act)
+            np.multiply(0.5, act, out=act)  # s
+            np.multiply(a, act, out=act)  # silu
+            np.multiply(act, b, out=act)
         for sl, _, _, w2t in spans:
             _mm(act[sl], w2t, y[sl])
-        buf[order[lo:hi]] = pair_w[lo:hi] * y
-        return lo, hi, spans, a, b, s, silu, act, y
+        if keep:
+            buf[order[lo:hi]] = pair_w[lo:hi] * y
+            return lo, hi, spans, a, b, s, silu, act, y
+        np.multiply(pair_w[lo:hi], y, out=y)
+        buf[order[lo:hi]] = y
+        return None
 
     def _group_backward(
         self, saved, g, xv, tokens, experts, order, pair_w, dw, dbuf

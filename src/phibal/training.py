@@ -265,14 +265,18 @@ class MoeStack:
         return params
 
     def forward(
-        self, x: np.ndarray, biases: list[np.ndarray | None]
+        self, x: np.ndarray, biases: list[np.ndarray | None], *, forward_only: bool = False
     ) -> tuple[Node, list[RoutingBatch]]:
+        """The head's logits and each layer's routing. ``forward_only`` runs
+        each layer's experts in `MoeLayer.forward`'s forward-only mode: the
+        same values, but each layer's output is a leaf, so a backward from
+        the logits reaches only the head."""
         h = constant(x)
         routings: list[RoutingBatch] = []
         for layer, bias in zip(self.layers, biases):
             routing = layer.route(h, bias)
             routings.append(routing)
-            h = layer.forward(h, routing)
+            h = layer.forward(h, routing, forward_only=forward_only)
         return linear(h, self.head), routings
 
 
@@ -444,10 +448,13 @@ class Trainer:
         return float(loss.value)
 
     def evaluate(self) -> tuple[float, float, list[RoutingBatch]]:
-        """Task loss and accuracy on the held-out batch; mutates nothing."""
+        """Task loss, accuracy and each layer's routing on the held-out
+        batch; changes no trainer state. The experts run forward-only in the
+        calling thread's reused scratch arrays (`MoeStack.forward`), so
+        repeated evals allocate no activations."""
         x, labels, _ = self._eval_batch
         biases = [b.bias for b in self.balancers]
-        logits, routings = self.model.forward(x, biases)
+        logits, routings = self.model.forward(x, biases, forward_only=True)
         task = self._task_loss(logits, labels)
         if self.config.corpus.label_rule == "domain_id":
             acc = accuracy(np.argmax(logits.value, axis=1), labels)

@@ -1,16 +1,22 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from phibal import autodiff
+import phibal
+from phibal import autodiff, moe
 from phibal.autodiff import _CHUNK, constant, linear, parameter
 from phibal.balancer import total_loss
 from phibal.checks import finite_diff_gradient, gradient_max_rel_error
 from phibal.config import with_seed
 from phibal.corpus import CorpusSpec, sample_batch
+from phibal.metrics import accuracy
 from phibal.training import (
     BalanceConfig,
     ModelConfig,
@@ -730,6 +736,127 @@ def test_domain_specialization_observable_from_eval_routing():
     present = ~np.isnan(ratio[:, 0])
     np.testing.assert_allclose(ratio[present].sum(axis=1), 1.0, atol=1e-9)
     assert np.all(ratio[present] >= 0.0)
+
+
+# -- evaluation ------------------------------------------------------------------------------
+
+
+def _graph_eval(trainer):
+    """`Trainer.evaluate` through the graph forward: logits, task loss,
+    accuracy and routings."""
+    x, labels, _ = trainer._eval_batch
+    logits, routings = trainer.model.forward(x, [b.bias for b in trainer.balancers])
+    if trainer.config.corpus.label_rule == "domain_id":
+        acc = accuracy(np.argmax(logits.value, axis=1), labels)
+    else:
+        acc = float("nan")
+    return logits.value, float(trainer._task_loss(logits, labels).value), acc, routings
+
+
+def _assert_same_routings(got, want):
+    assert len(got) == len(want)
+    for r, w in zip(got, want):
+        np.testing.assert_array_equal(r.selections, w.selections)
+        np.testing.assert_array_equal(r.counts, w.counts)
+        np.testing.assert_array_equal(r.weights.value, w.weights.value)
+        np.testing.assert_array_equal(r.p_bar.value, w.p_bar.value)
+
+
+_TEACHER = CorpusSpec(n_domains=4, dim=16, label_rule="linear_teacher")
+_WIDE_EVAL = TrainConfig(
+    model=ModelConfig(experts=64, top_k=4, dim=64, ffn_dim=128),
+    corpus=CorpusSpec(n_domains=4, dim=64),
+    batch_tokens=1024,
+    steps=16,
+    eval_every=16,
+)
+
+
+@pytest.mark.parametrize(
+    "config,steps,workers,split_per_layer",
+    [
+        (TrainConfig(), 20, None, [(3, False), (3, False)]),
+        (_WIDE_EVAL, 0, 0, [(20, False), (19, False)]),
+        (_WIDE_EVAL, 0, 1, [(20, True), (19, True)]),
+        (TrainConfig(model=ModelConfig(top_k=1)), 20, None, None),
+        (TrainConfig(balance=BalanceConfig(mechanism="loss_free")), 20, None, None),
+        (TrainConfig(corpus=_TEACHER), 20, None, None),
+    ],
+    ids=["acceptance", "wide-serial", "wide-split", "top_k=1", "loss_free", "linear_teacher"],
+)
+def test_forward_only_eval_keeps_the_graph_forwards_bits(
+    monkeypatch, config, steps, workers, split_per_layer
+):
+    # The reference is the graph forward on one thread; the forward-only
+    # eval runs on ``workers`` workers, or as many as the machine gives.
+    monkeypatch.setattr(autodiff, "_WORKERS", 0)
+    split = []  # per layer: expert groups, and whether they were split across threads
+
+    def spy(fn, items, *args):
+        split.append((len(items), autodiff._parts(len(items)) >= 2))
+        return autodiff._split(fn, items, *args)
+
+    trainer = Trainer(config)
+    for _ in range(steps):
+        trainer.step()
+    if config.balance.mechanism == "loss_free":
+        assert all(np.any(b.bias != 0.0) for b in trainer.balancers)
+    logits, task_loss, acc, routings = _graph_eval(trainer)
+    if workers is None:
+        workers = autodiff._worker_count()
+    monkeypatch.setattr(autodiff, "_WORKERS", workers)
+    monkeypatch.setattr(moe, "_split", spy)
+    x, _, _ = trainer._eval_batch
+    biases = [b.bias for b in trainer.balancers]
+    only, _ = trainer.model.forward(x, biases, forward_only=True)
+    np.testing.assert_array_equal(only.value, logits)
+    split.clear()
+    got_loss, got_acc, got_routings = trainer.evaluate()
+    assert got_loss == task_loss
+    np.testing.assert_array_equal(got_acc, acc)  # NaN for the linear teacher
+    _assert_same_routings(got_routings, routings)
+    if split_per_layer is not None:
+        assert split == split_per_layer
+
+
+@pytest.mark.parametrize("mechanism", ["phi", "loss_free"])
+def test_evals_between_steps_leave_training_alone(mechanism):
+    cfg = short_config(balance=BalanceConfig(mechanism=mechanism))
+    plain, probed = Trainer(cfg), Trainer(cfg)
+    plain.run()
+    while probed.step_index < cfg.steps:
+        probed.step()
+        first, second = probed.evaluate(), probed.evaluate()
+        assert first[:2] == second[:2]
+        _assert_same_routings(second[2], first[2])
+    assert probed.record.digest() == plain.record.digest()
+    for name in ("flat", "m", "v"):
+        got, want = getattr(probed.optimizer, name), getattr(plain.optimizer, name)
+        np.testing.assert_array_equal(got, want)
+    for got, want in zip(probed.balancers, plain.balancers):
+        np.testing.assert_array_equal(got.m, want.m)
+        np.testing.assert_array_equal(got.bias, want.bias)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor page faults")
+def test_a_repeated_eval_faults_in_no_pages():
+    # An eval that freed its activations had the allocator hand the top of
+    # the heap back to the OS, and the next eval faulted it in again: about
+    # 700 minor faults per eval at the acceptance config. The allocator's
+    # trim threshold rises with the blocks a process has freed, so this
+    # counts in a fresh interpreter.
+    probe = (
+        "import resource; from phibal.training import TrainConfig, Trainer; "
+        "trainer = Trainer(TrainConfig()); [trainer.step() for _ in range(20)]; "
+        "trainer.evaluate(); before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt; "
+        "trainer.evaluate(); print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)"
+    )
+    src = str(Path(phibal.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
+    ).stdout
+    assert int(out) <= 50
 
 
 # -- token budget ----------------------------------------------------------------------------
