@@ -5,8 +5,10 @@ references to its parent nodes, and one vector-Jacobian closure that returns
 all their adjoints. `backward()` replays the graph in reverse topological
 order and accumulates adjoints via the chain rule. The engine is deliberately
 small: first-order gradients only, float64 only. Graphs are built and walked
-on one thread; only `_split` hands disjoint slabs of one node's work to
-worker threads.
+on one thread; only `_split` hands disjoint slabs of one node's work (or
+of an optimizer step) to worker threads. The rules of that split live here
+alone: `_pack` cuts the work into cache-sized runs, `_split` runs them and
+`_scratch_array` gives each thread its own reusable work arrays.
 
 There is no generic arithmetic. Besides `linear` and `weighted_sum`, the
 one reduction (<x, c> with c constant), each op of a training step (the
@@ -29,9 +31,6 @@ import numpy as np
 __all__ = [
     "Node",
     "ShapeError",
-    "NonFiniteError",
-    "set_checked",
-    "is_checked",
     "constant",
     "parameter",
     "linear",
@@ -43,16 +42,39 @@ class ShapeError(ValueError):
     """Operand shapes do not conform for the primitive that raised."""
 
 
-class NonFiniteError(FloatingPointError):
-    """A NaN or Inf value was produced while checked mode is enabled."""
-
-
-_CHECKED = False
-
 # Most float64 elements in one cache-sized block of work: an optimizer chunk
 # (its arena, gradient and moment slices and two temporaries) or a group of
 # the expert node's slabs then stays in cache while it is worked on.
 _CHUNK = 1 << 15
+
+
+def _pack(items, starts, ends, width: int = 1) -> list[list]:
+    """``items`` in order, packed greedily into runs of consecutive items:
+    item i spans rows ``starts[i]:ends[i]`` of ``width`` elements, and a run
+    spans from its first item's start to its last item's end, at most
+    `_CHUNK` elements; a larger item is a run of its own."""
+    runs: list[list] = []
+    for i in items:
+        if runs and (ends[i] - starts[runs[-1][0]]) * width <= _CHUNK:
+            runs[-1].append(i)
+        else:
+            runs.append([i])
+    return runs
+
+
+# Each thread's grow-only work arrays, by name.
+_scratch = threading.local()
+
+
+def _scratch_array(name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """A C-contiguous view of the calling thread's scratch array ``name``,
+    grown (never shrunk) to hold ``shape``; its contents are left over."""
+    size = math.prod(shape)
+    have = getattr(_scratch, name, None)
+    if have is None or have.size < size:
+        have = np.empty(size)
+        setattr(_scratch, name, have)
+    return have[:size].reshape(shape)
 
 
 def _read_words(path: str) -> list[str]:
@@ -229,16 +251,6 @@ def _split(fn: Callable, items: list, *args) -> list:
     return results
 
 
-def set_checked(enabled: bool) -> None:
-    """Toggle NaN/Inf guards on node construction and every primitive output."""
-    global _CHECKED
-    _CHECKED = bool(enabled)
-
-
-def is_checked() -> bool:
-    return _CHECKED
-
-
 _UID = itertools.count()
 _F64 = np.dtype(np.float64)
 
@@ -309,8 +321,6 @@ class Node:
     ) -> None:
         if type(value) is not np.ndarray or value.dtype is not _F64 or not value.flags.c_contiguous:
             value = np.asarray(value, dtype=np.float64, order="C")
-        if _CHECKED and not np.all(np.isfinite(value)):
-            raise NonFiniteError(f"{op} produced a non-finite value")
         self.value = value
         self.grad: np.ndarray | None = None
         self.out: np.ndarray | None = None

@@ -20,7 +20,14 @@ from pathlib import Path
 
 from .checks import run_all_checks
 from .config import ConfigError, parse_config, with_seed
-from .experiments import ExperimentPlan, config_digest, run_csv_path, run_plan, write_run_csv
+from .experiments import (
+    ExperimentPlan,
+    _output_dir,
+    config_digest,
+    run_csv_path,
+    run_plan,
+    write_run_csv,
+)
 from .potentials import DomainError
 from .training import NumericalError, TrainConfig, compute_token_budget, train
 
@@ -86,12 +93,12 @@ def _cmd_run(args) -> int:
         raise ConfigError("`run` needs a run config, not a sweep plan (use `sweep`)")
     if args.seed is not None:
         cfg = with_seed(cfg, args.seed)
+    out = None if args.out is None else _output_dir(args.out)
     record = train(cfg)
     metrics = " ".join(f"{name}={v:.4f}" for name, v in record.terminal().items())
     print(f"run {config_digest(cfg)}: steps={cfg.steps} {metrics}")
-    if args.out is not None:
-        Path(args.out).mkdir(parents=True, exist_ok=True)
-        path = run_csv_path(args.out, cfg)
+    if out is not None:
+        path = run_csv_path(out, cfg)
         write_run_csv(path, cfg, record)
         print(f"wrote {path}")
     return EXIT_OK

@@ -16,6 +16,7 @@ import os
 import traceback
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from pathlib import Path
 from typing import get_type_hints
 
@@ -47,10 +48,14 @@ __all__ = [
 
 CSV_SCHEMA_VERSION = 1
 _HEADER = f"# phibal csv schema v{CSV_SCHEMA_VERSION}"
-# Column -> parser of its text: every `EvalRow` field but ``m_hash`` (its last
-# field, which `write_run_csv` drops), then the config values it appends.
+# The `EvalRow` fields a run CSV holds (all but ``m_hash``), each with the
+# parser of its text; `write_run_csv` takes a row's cells by these names.
+_ROW_FIELDS = {name: kind for name, kind in get_type_hints(EvalRow).items() if name != "m_hash"}
+_row_cells = attrgetter(*_ROW_FIELDS)
+# Column -> parser of its text: the row fields, then the config values
+# `write_run_csv` appends.
 _COLUMNS = {
-    **{name: kind for name, kind in get_type_hints(EvalRow).items() if name != "m_hash"},
+    **_ROW_FIELDS,
     "mech": str,
     "phi": str,
     "eta": float,
@@ -161,7 +166,7 @@ def write_run_csv(path, cfg: TrainConfig, record: RunRecord) -> None:
         writer = csv.writer(fh)  # a float as str(), its shortest round-trip text
         writer.writerow(CSV_SCHEMA)
         for row in record.rows:
-            writer.writerow([*row[:-1], *config])
+            writer.writerow([*_row_cells(row), *config])
 
 
 def read_run_csv(path) -> list[dict]:
@@ -202,6 +207,21 @@ def read_run_csv(path) -> list[dict]:
 # -- plan execution -----------------------------------------------------------------
 
 
+def _output_dir(out_dir) -> Path:
+    """``out_dir``, made with its parents and checked writable by a probe
+    file; a `ConfigError` naming it if either fails (an existing file of that
+    name, say), so a run can be refused before it trains."""
+    out = Path(out_dir)
+    probe = out / ".write_probe"
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        probe.write_text("")
+        probe.unlink()
+    except OSError as exc:
+        raise ConfigError(f"output directory {out} is not writable: {exc}") from exc
+    return out
+
+
 def _run_one(job: tuple[str, int, TrainConfig, str]) -> RunOutcome:
     label, seed, cfg, out_dir = job
     path = run_csv_path(out_dir, cfg)
@@ -224,15 +244,7 @@ def run_plan(plan: ExperimentPlan, out_dir, jobs: int = 1) -> list[RunOutcome]:
     the summary and does not stop its siblings. Results keep plan order
     regardless of scheduling.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    probe = out / ".write_probe"
-    try:
-        probe.write_text("")
-        probe.unlink()
-    except OSError as exc:
-        raise ConfigError(f"output directory {out} is not writable: {exc}") from exc
-
+    out = _output_dir(out_dir)
     job_inputs = [(label, seed, cfg, str(out)) for label, seed, cfg in expand_plan(plan)]
     if jobs > 1 and len(job_inputs) > 1:
         # Imported here: a serial sweep never loads multiprocessing.

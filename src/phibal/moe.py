@@ -20,20 +20,20 @@ arrays that it reuses, and returns the layer's output as a leaf.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
 
 from .autodiff import (
-    _CHUNK,
     Node,
     _add,
     _max,
     _min,
     _mm,
+    _pack,
     _row_max,
+    _scratch_array,
     _split,
     _weight_grad,
     linear,
@@ -129,21 +129,6 @@ def _sum_slots(pairs: np.ndarray, n_tokens: int) -> np.ndarray:
     for j in range(1, terms.shape[1]):
         out += terms[:, j]
     return out
-
-
-# Each thread's grow-only work arrays for forward-only expert passes.
-_scratch = threading.local()
-
-
-def _scratch_array(name: str, shape: tuple[int, int]) -> np.ndarray:
-    """A C-contiguous view of the calling thread's scratch array ``name``,
-    grown (never shrunk) to hold ``shape``; its contents are left over."""
-    size = shape[0] * shape[1]
-    have = getattr(_scratch, name, None)
-    if have is None or have.size < size:
-        have = np.empty(size)
-        setattr(_scratch, name, have)
-    return have[:size].reshape(shape)
 
 
 @dataclass
@@ -270,9 +255,9 @@ class MoeLayer:
         is the output's adjoint plus what flows back through the experts.
 
         The (token, expert) pairs are sorted once by expert, so each active
-        expert's rows form one token-ascending slab. Consecutive active
-        experts form groups whose slabs hold at most `_CHUNK` elements of
-        the (rows, 2*ffn_dim) activations; a larger expert is a group of its
+        expert's rows form one token-ascending slab. `autodiff._pack` packs
+        consecutive active experts into cache-sized groups of the
+        (rows, 2*ffn_dim) activations; a larger expert is a group of its
         own. Only the GEMMs run per expert; the gather, the gate, the
         weighting and the scatter to (token, slot) positions run once per
         group. Each token then sums its k terms from 0.0 in slot order,
@@ -313,12 +298,7 @@ class MoeLayer:
         ends = list(accumulate(counts))
         starts = [end - c for end, c in zip(ends, counts)]
         active = [e for e, c in enumerate(counts) if c]
-        groups: list[list[int]] = []
-        for e in active:
-            if groups and (ends[e] - starts[groups[-1][0]]) * 2 * ffn <= _CHUNK:
-                groups[-1].append(e)
-            else:
-                groups.append([e])
+        groups = _pack(active, starts, ends, 2 * ffn)
 
         dispatch = (xv, tokens, order, pair_w, starts, ends)
         if forward_only:

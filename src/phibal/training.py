@@ -18,13 +18,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import threading
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .autodiff import _CHUNK, Node, _add, _max, _split, constant, linear, parameter
+from .autodiff import Node, _add, _max, _pack, _scratch_array, _split, constant, linear, parameter
 from .balancer import BalanceConfig, BalancerState, total_loss
 from .corpus import CorpusSpec, sample_batch
 from .metrics import accuracy, gini, max_vio
@@ -130,15 +129,16 @@ class Optimizer:
     values), ``grad`` (each parameter's ``out``, where backward writes its
     gradient) and AdamW's ``m``/``v``. Each parameter is a column-major view
     of them, so a matrix's ``.T`` is C-contiguous and the forward uses it
-    uncopied. A step walks chunks, runs of consecutive parameters of at most
-    ``_CHUNK`` elements (a larger parameter is a chunk of its own), zeroes the
+    uncopied. A step walks chunks, cache-sized runs of consecutive parameters
+    (`autodiff._pack`; a larger parameter is a chunk of its own), zeroes the
     gradients of parameters that have none and updates the chunk with
     in-place ufuncs in the per-array formula's order, so results keep bits.
     `autodiff._split` spreads the chunks over the machine's cores (one
     worker thread per usable core but the caller's, at most three; a single
-    chunk stays on the caller); each thread updates its chunks with its own
-    two temporaries, and a chunk touches only its own slices of the arenas,
-    so the bits do not depend on which thread runs it.
+    chunk stays on the caller); each thread updates its chunks with two
+    temporaries of its own (`autodiff._scratch_array`), and a chunk touches
+    only its own slices of the arenas, so the bits do not depend on which
+    thread runs it.
     """
 
     def __init__(self, cfg: OptimizerConfig, params: list[Node], total_steps: int) -> None:
@@ -157,19 +157,10 @@ class Optimizer:
             self.m = np.zeros_like(self.flat)
             self.v = np.zeros_like(self.flat)
 
-        runs: list[list[int]] = []
-        for i in range(len(params)):
-            if runs and starts[i + 1] - starts[runs[-1][0]] <= _CHUNK:
-                runs[-1].append(i)
-            else:
-                runs.append([i])
         self._chunks = [
             (slice(starts[run[0]], starts[run[-1] + 1]), [params[i] for i in run])
-            for run in runs
+            for run in _pack(range(len(params)), starts, starts[1:])
         ]
-        # Two temporaries of the widest chunk per thread that updates chunks.
-        self._width = max((span.stop - span.start for span, _ in self._chunks), default=0)
-        self._scratch = threading.local()
 
     def learning_rate(self) -> float:
         cfg = self.cfg
@@ -203,11 +194,8 @@ class Optimizer:
                 p.out.fill(0.0)
             elif p.grad is not p.out:
                 p.out[...] = p.grad
-        scratch = self._scratch
-        if not hasattr(scratch, "tmp"):
-            scratch.tmp, scratch.tmp2 = np.empty(self._width), np.empty(self._width)
         g, p = self.grad[span], self.flat[span]
-        tmp, tmp2 = scratch.tmp[:g.size], scratch.tmp2[:g.size]
+        tmp, tmp2 = _scratch_array("tmp", g.shape), _scratch_array("tmp2", g.shape)
         if cfg.kind == "sgd":
             # p -= lr * g
             np.multiply(lr, g, out=tmp)

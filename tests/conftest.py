@@ -20,6 +20,41 @@ from phibal.training import BalanceConfig, TrainConfig, train
 SEEDS = (0, 1, 2)
 
 
+def build_line() -> str:
+    """The numeric build that literal bit pins depend on, as one line: the
+    numpy version, its BLAS's name and version, and whether numpy dispatches
+    AVX-512 code on this CPU. Never raises; what this numpy cannot report
+    reads "unknown" (before 1.26 it has no dict form of its build config)."""
+    import numpy as np
+
+    try:
+        config = np.show_config(mode="dicts")
+    except Exception:
+        config = {}
+    try:
+        dep = config["Build Dependencies"]["blas"]
+        blas = f"{dep['name']} {dep['version']}"
+    except Exception:
+        blas = "unknown"
+    try:
+        found = config["SIMD Extensions"]["found"]
+    except Exception:
+        try:  # the dispatch targets this CPU runs, where numpy 1.x keeps them
+            from numpy.core import _multiarray_umath as umath
+
+            found = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
+        except Exception:
+            found = None
+    avx512 = "unknown" if found is None else any("AVX512" in f or f == "X86_V4" for f in found)
+    return f"numpy {np.__version__}, BLAS {blas}, AVX-512 dispatch {avx512}"
+
+
+@pytest.fixture(scope="session")
+def numeric_build() -> str:
+    """`build_line()`, the message of an assertion against a literal bit pin."""
+    return build_line()
+
+
 def _balance_for(label: str) -> BalanceConfig:
     if label == "st_moe":
         return BalanceConfig(mechanism="st_moe", phi=None)

@@ -703,6 +703,22 @@ def test_cli_run_and_csv(tmp_path, capsys):
     assert len(list((tmp_path / "o").glob("run_*.csv"))) == 1
 
 
+def test_cli_out_that_is_a_file_is_refused_before_any_run(tmp_path, monkeypatch, capsys):
+    # Before, both died with a FileExistsError traceback, `run` only after
+    # training the whole run.
+    def fail(cfg):
+        raise AssertionError("trained before --out was checked")
+
+    monkeypatch.setattr("phibal.cli.train", fail)
+    monkeypatch.setattr("phibal.experiments.train", fail)
+    taken = tmp_path / "taken.txt"
+    taken.write_text("kept")
+    for verb, config in (("run", write_tiny_config(tmp_path)), ("sweep", write_tiny_plan(tmp_path))):
+        assert main([verb, "--config", config, "--out", str(taken)]) == EXIT_CONFIG
+        assert f"config error: output directory {taken} is not writable" in capsys.readouterr().err
+    assert taken.read_text() == "kept"
+
+
 def test_cli_run_seed_override(tmp_path, capsys):
     path = write_tiny_config(tmp_path)
     main(["run", "--config", path, "--seed", "3"])

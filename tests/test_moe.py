@@ -4,7 +4,7 @@ import threading
 import numpy as np
 import pytest
 
-from phibal import autodiff, moe
+from phibal import autodiff
 from phibal.autodiff import _CHUNK, constant, linear, parameter, weighted_sum
 from phibal.balancer import BalanceConfig, BalancerState, total_loss
 from phibal.checks import finite_diff_gradient, gradient_max_rel_error
@@ -508,12 +508,12 @@ def test_forward_only_expert_pass_keeps_the_bits_in_grown_scratch(
 ):
     # Fresh scratch, first sized by a three-token pass: the layout's pass
     # then grows it, past `_CHUNK` where one expert is a group of its own.
-    monkeypatch.setattr(moe, "_scratch", threading.local())
+    monkeypatch.setattr(autodiff, "_scratch", threading.local())
     layer = make_layer(n_experts=n_experts, top_k=top_k, dim=dim, ffn_dim=ffn_dim, seed=25)
     x_arr = np.random.default_rng(26).standard_normal((n_tokens, dim))
     few = constant(x_arr[:3])
     layer.forward(few, layer.route(few, bias), forward_only=True)
-    small = moe._scratch.h.size
+    small = autodiff._scratch.h.size
     routing = layer.route(constant(x_arr), bias)
     want = per_expert_reference(
         layer, x_arr, routing.weights.value, routing.selections, np.zeros_like(x_arr)
@@ -523,9 +523,9 @@ def test_forward_only_expert_pass_keeps_the_bits_in_grown_scratch(
         assert y.op == "leaf" and not y.requires_grad
         np.testing.assert_array_equal(y.value, want)
         np.testing.assert_array_equal(y.value, layer.forward(x, routing).value)
-    assert moe._scratch.h.size > small
+    assert autodiff._scratch.h.size > small
     if layout == "expert-over-budget":
-        assert moe._scratch.h.size > _CHUNK
+        assert autodiff._scratch.h.size > _CHUNK
 
 
 def _wide_expert_pass(layer, x_arr, g):
