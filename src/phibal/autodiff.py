@@ -6,9 +6,10 @@ all their adjoints. `backward()` replays the graph in reverse topological
 order and accumulates adjoints via the chain rule. The engine is deliberately
 small: first-order gradients only, float64 only. Graphs are built and walked
 on one thread; only `_split` hands disjoint slabs of one node's work (or
-of an optimizer step) to worker threads. The rules of that split live here
-alone: `_pack` cuts the work into cache-sized runs, `_split` runs them and
-`_scratch_array` gives each thread its own reusable work arrays.
+of an optimizer step) to the threads of a `concurrent.futures` pool, which
+loads only on the first split into two or more slices. The rules of that
+split live here alone: `_pack` cuts the work into cache-sized runs, `_split`
+runs them and `_scratch_array` gives each thread its own reusable work arrays.
 
 There is no generic arithmetic. Besides `linear` and `weighted_sum`, the
 one reduction (<x, c> with c constant), each op of a training step (the
@@ -133,67 +134,19 @@ _WORKERS: int | None = None  # `_worker_count()`, worked out on the first split
 # more than it saves: the two-group expert node of a 512-token eval at the
 # acceptance shape ran slower split than on one thread.
 _MIN_SLICE = 2
-_workers: list[_Worker] = []
-_busy = threading.Lock()  # held by the one caller the workers serve
+_pool = None  # the `ThreadPoolExecutor` that runs the workers' slices
+_pool_threads = 0  # its ``max_workers``
+_busy = threading.Lock()  # held by the one caller the pool serves
 
 
-class _Worker:
-    """A daemon thread that runs the slices handed to it one at a time, in
-    order. A slice goes in as a task tuple and comes back with its result
-    (or exception), so the caller can tell a task's own result from an
-    earlier one's."""
-
-    def __init__(self) -> None:
-        import queue  # here: a process that never splits does without it
-
-        self.inbox, self.outbox = queue.SimpleQueue(), queue.SimpleQueue()
-        self.thread = threading.Thread(target=self._serve, daemon=True)
-        self.thread.start()
-
-    def _serve(self) -> None:
-        while True:
-            task = self.inbox.get()
-            fn, items, args, err = task
-            try:
-                with np.errstate(**err):
-                    result = [fn(item, *args) for item in items]
-            except BaseException as exc:  # handed to the caller, which raises it
-                result = exc
-            self.outbox.put((task, result))
-            # Keep nothing of the call while waiting for the next task: the
-            # arrays it was handed would outlive it.
-            del task, fn, items, args, result
-
-    def result_of(self, task: tuple):
-        """Wait for ``task``'s result, skipping any earlier task's."""
-        while True:
-            done, result = self.outbox.get()
-            if done is task:
-                return result
-
-    def drain(self) -> None:
-        """Wait until every task handed so far has finished, through any
-        further exception (an interrupt, say) while waiting: a slice left
-        running would write into its call's arrays after the call has
-        returned, and so race with the caller's next call."""
-        while True:
-            try:
-                marker = (None, [], (), {})
-                self.inbox.put(marker)
-                self.result_of(marker)
-                return
-            except BaseException:  # the caller raises the first exception
-                pass
-
-
-def _forget_workers() -> None:
-    """In a forked child the workers do not exist: start afresh."""
-    global _workers, _busy
-    _workers, _busy = [], threading.Lock()
+def _forget_pool() -> None:
+    """In a forked child the pool's threads do not exist: start afresh."""
+    global _pool, _pool_threads, _busy
+    _pool, _pool_threads, _busy = None, 0, threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):  # there is no fork where it is missing
-    os.register_at_fork(after_in_child=_forget_workers)
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _parts(n_items: int) -> int:
@@ -208,46 +161,63 @@ def _parts(n_items: int) -> int:
     return min(_WORKERS + 1, parts)
 
 
+def _run_slice(fn: Callable, items: list, args: tuple, err: dict) -> list:
+    with np.errstate(**err):
+        return [fn(item, *args) for item in items]
+
+
 def _split(fn: Callable, items: list, *args) -> list:
     """``[fn(item, *args) for item in items]``, the items split across threads.
 
     The first of `_parts` contiguous slices runs on the calling thread, each
-    other on a persistent daemon worker, started on first use, under the
+    other on a thread of a `concurrent.futures.ThreadPoolExecutor`, loaded
+    and started on the first call with two or more slices, under the
     caller's `np.geterr()`. Results come back in item order, and a worker's
     exception is raised here once every slice has finished. Whatever
     exception leaves the call, an interrupt included, it leaves only after
     every worker has finished its slice. With fewer than two parts, or the
-    workers serving another call (a call from another thread, or from
-    inside a slice), it is the plain loop. Each ``fn`` call must write only
-    memory no item on another thread touches (its own rows of a shared
-    output, or its thread's own scratch) and build no `Node`, so the result
-    cannot depend on scheduling.
+    pool serving another call (a call from another thread, or from inside
+    a slice), it is the plain loop. Each ``fn`` call must write only memory
+    no item on another thread touches (its own rows of a shared output, or
+    its thread's own scratch) and build no `Node`, so the result cannot
+    depend on scheduling.
     """
+    global _pool, _pool_threads
     parts = _parts(len(items))
     if parts < 2 or not _busy.acquire(blocking=False):
         return [fn(item, *args) for item in items]
     try:
-        while len(_workers) < parts - 1:
-            _workers.append(_Worker())
-        handed = _workers[: parts - 1]
+        if _pool_threads < parts - 1:  # a thread for each slice but the caller's
+            from concurrent.futures import ThreadPoolExecutor
+
+            if _pool is not None:
+                _pool.shutdown()
+            _pool, _pool_threads = ThreadPoolExecutor(parts - 1), parts - 1
         bounds = [len(items) * i // parts for i in range(parts + 1)]
-        err = np.geterr()
-        tasks = [(fn, items[lo:hi], args, err) for lo, hi in zip(bounds[1:], bounds[2:])]
+        err, futures = np.geterr(), []
         try:
-            for worker, task in zip(handed, tasks):
-                worker.inbox.put(task)
+            for lo, hi in zip(bounds[1:], bounds[2:]):
+                futures.append(_pool.submit(_run_slice, fn, items[lo:hi], args, err))
             results = [fn(item, *args) for item in items[: bounds[1]]]
-            slices = [worker.result_of(task) for worker, task in zip(handed, tasks)]
+            for future in futures:
+                future.exception()  # waits for it; raised below
         except BaseException:
-            for worker in handed:  # the slices write the caller's arrays
-                worker.drain()
+            # A slice left running would write into this call's arrays after
+            # it has returned, and so race with the caller's next call: wait
+            # for every one, through any further exception (an interrupt,
+            # say), and raise the first.
+            while True:
+                try:
+                    for future in futures:
+                        future.exception()
+                    break
+                except BaseException:
+                    pass
             raise
     finally:
         _busy.release()
-    for result in slices:
-        if isinstance(result, BaseException):
-            raise result
-        results.extend(result)
+    for future in futures:
+        results.extend(future.result())
     return results
 
 

@@ -13,6 +13,7 @@ import hashlib
 import itertools
 import json
 import os
+import threading
 import traceback
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -142,11 +143,17 @@ def run_csv_path(out_dir, cfg: TrainConfig) -> Path:
 # -- CSV ------------------------------------------------------------------------
 
 
+def _own_temp(path: Path) -> Path:
+    """A hidden name beside ``path`` that no other process or thread uses
+    at the same time."""
+    return path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+
+
 @contextmanager
 def _replacing(path: Path):
     """A temp file beside ``path``, renamed over it once the block has written
     it all: ``path`` is never left half written."""
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    tmp = _own_temp(path)
     try:
         with open(tmp, "w", newline="") as fh:
             yield fh
@@ -212,7 +219,7 @@ def _output_dir(out_dir) -> Path:
     file; a `ConfigError` naming it if either fails (an existing file of that
     name, say), so a run can be refused before it trains."""
     out = Path(out_dir)
-    probe = out / ".write_probe"
+    probe = _own_temp(out / "write_probe")
     try:
         out.mkdir(parents=True, exist_ok=True)
         probe.write_text("")

@@ -8,16 +8,43 @@ shared, with per-run wall times kept for the runtime criteria.
 from __future__ import annotations
 
 import os
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+from phibal import autodiff
 from phibal.config import with_seed
+from phibal.moe import MoeLayer
 from phibal.potentials import default_catalog
 from phibal.training import BalanceConfig, TrainConfig, train
 
 SEEDS = (0, 1, 2)
+
+
+def assert_split_across_threads(threads: dict, caller: int) -> None:
+    """``threads`` maps each item of one `autodiff._split` call, keyed in item
+    order, to the thread that ran it: the first slice ran on ``caller``, and
+    every item after it off the caller's thread."""
+    ran = [threads[key] for key in sorted(threads)]
+    first = len(ran) // max(1, autodiff._parts(len(ran)))
+    assert ran[:first] == [caller] * first and caller not in ran[first:]
+
+
+def record_group_threads(monkeypatch) -> dict:
+    """Patch `MoeLayer._group_forward` to record, by each training forward's
+    group's first expert, the thread that ran it; the dict it fills."""
+    threads = {}
+    group_forward = MoeLayer._group_forward
+
+    def recorded(self, group, *args):
+        if args[-1]:  # ``keep``: a training forward, not an eval's
+            threads[group[0]] = threading.get_ident()
+        return group_forward(self, group, *args)
+
+    monkeypatch.setattr(MoeLayer, "_group_forward", recorded)
+    return threads
 
 
 def build_line() -> str:

@@ -8,6 +8,8 @@ import weakref
 import numpy as np
 import pytest
 
+from conftest import assert_split_across_threads
+
 from phibal import autodiff
 from phibal.autodiff import (
     Node,
@@ -335,15 +337,20 @@ def test_split_keeps_item_order_and_writes_disjoint_slots(monkeypatch, workers):
     sys.setswitchinterval(1e-6)
     try:
         for n in (0, 1, 2, 7, 40):
-            slots = np.zeros(n)
+            slots, threads = np.zeros(n), {}
 
             def work(i, scale):
                 slots[i] += scale * (i + 1)
+                threads[i] = threading.get_ident()
                 return i
 
-            results = _in_thread(lambda: autodiff._split(work, list(range(n)), 2.0))
+            def split():
+                return threading.get_ident(), autodiff._split(work, list(range(n)), 2.0)
+
+            caller, results = _in_thread(split)
             assert results == list(range(n))
             np.testing.assert_array_equal(slots, 2.0 * np.arange(1, n + 1))
+            assert_split_across_threads(threads, caller)
     finally:
         sys.setswitchinterval(switch)
 
@@ -430,10 +437,17 @@ def _slow_worker_slice(written):
 
 
 def _assert_workers_in_step():
-    # The next call gets its own results, not a leftover of the last one.
+    # The next call gets its own results, not a leftover of the last one,
+    # and its second slice runs off the caller's thread again.
     for _ in range(3):
-        assert autodiff._split(lambda i: -i, [0, 1, 2, 3, 4]) == [0, -1, -2, -3, -4]
-    assert all(w.outbox.empty() for w in autodiff._workers)
+        threads = {}
+
+        def work(i):
+            threads[i] = threading.get_ident()
+            return -i
+
+        assert autodiff._split(work, [0, 1, 2, 3, 4]) == [0, -1, -2, -3, -4]
+        assert_split_across_threads(threads, threading.get_ident())
 
 
 @pytest.mark.skipif(
@@ -480,7 +494,7 @@ def test_split_raising_in_the_callers_slice_waits_for_the_workers(monkeypatch):
 
     assert isinstance(_in_thread(lambda: autodiff._split(failing, [0, 1, 2, 3])), _Interrupt)
     np.testing.assert_array_equal(written, [1, 0, 3, 4])
-    _in_thread(_assert_workers_in_step)
+    assert _in_thread(_assert_workers_in_step) is None
 
 
 def test_cpu_quota_is_the_tightest_cgroup_limit(monkeypatch):

@@ -2,12 +2,15 @@ import concurrent.futures
 import csv
 import multiprocessing
 import re
+import sys
 import textwrap
 import threading
 from pathlib import Path
 
 import pytest
 import yaml
+
+from conftest import assert_split_across_threads, record_group_threads
 
 from phibal import autodiff, experiments
 from phibal.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
@@ -543,6 +546,7 @@ def test_process_pool_sweep_after_split_work_matches_serial(tmp_path, monkeypatc
     # and each child's 4096-token evals (four groups) split again, so a
     # child that kept the parent's dead workers would hang.
     monkeypatch.setattr(autodiff, "_WORKERS", 1)
+    threads = record_group_threads(monkeypatch)
     wide = TrainConfig(
         model=ModelConfig(layers=1, experts=64, top_k=4, dim=64, ffn_dim=128),
         corpus=CorpusSpec(n_domains=4, dim=64),
@@ -552,7 +556,7 @@ def test_process_pool_sweep_after_split_work_matches_serial(tmp_path, monkeypatc
         eval_tokens=64,
     )
     Trainer(wide).step()
-    assert any(w.thread.is_alive() for w in autodiff._workers)
+    assert_split_across_threads(threads, threading.get_ident())
     raw = yaml.safe_load(TINY)
     raw["train"]["eval_tokens"] = 4096
     plan = plan_from_dict({**raw, "sweep": {"axis": "eta", "values": [0.3, 0.7], "seeds": [0, 1]}})
@@ -717,6 +721,37 @@ def test_cli_out_that_is_a_file_is_refused_before_any_run(tmp_path, monkeypatch,
         assert main([verb, "--config", config, "--out", str(taken)]) == EXIT_CONFIG
         assert f"config error: output directory {taken} is not writable" in capsys.readouterr().err
     assert taken.read_text() == "kept"
+
+
+def test_two_threads_share_an_output_directory(tmp_path):
+    # Every caller probed with one `.write_probe` and wrote its summary
+    # through one `.summary.md.<pid>.tmp`, so one thread could delete or
+    # replace the other's file mid-write.
+    out, errors = tmp_path / "shared", []
+
+    def use(name):
+        try:
+            for i in range(300):
+                experiments._output_dir(out)
+                with experiments._replacing(out / "summary.md") as fh:
+                    fh.write(f"{name} {i}\n")
+        except Exception as exc:
+            errors.append(exc)
+
+    workers = [threading.Thread(target=use, args=(name,), daemon=True) for name in "ab"]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(60.0)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(worker.is_alive() for worker in workers)
+    assert errors == []
+    assert [p.name for p in out.iterdir()] == ["summary.md"]
+    assert out.joinpath("summary.md").read_text() in ("a 299\n", "b 299\n")
 
 
 def test_cli_run_seed_override(tmp_path, capsys):

@@ -4,6 +4,8 @@ import threading
 import numpy as np
 import pytest
 
+from conftest import assert_split_across_threads, record_group_threads
+
 from phibal import autodiff
 from phibal.autodiff import _CHUNK, constant, linear, parameter, weighted_sum
 from phibal.balancer import BalanceConfig, BalancerState, total_loss
@@ -552,8 +554,10 @@ def test_expert_node_split_across_threads_keeps_bits(monkeypatch, workers):
     serial = _wide_expert_pass(layer, x_arr, g)
     serial = serial[0], [a.copy() for a in serial[1]]  # w1/w2 grads live in the arena
     monkeypatch.setattr(autodiff, "_WORKERS", workers)
+    threads = record_group_threads(monkeypatch)
     value, grads = _wide_expert_pass(layer, x_arr, g)
-    assert any(w.thread.is_alive() for w in autodiff._workers)
+    assert len(threads) >= 4
+    assert_split_across_threads(threads, threading.get_ident())
     np.testing.assert_array_equal(value, serial[0])
     assert len(grads) == len(serial[1]) > 2
     for got, want in zip(grads, serial[1]):
