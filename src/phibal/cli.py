@@ -18,7 +18,7 @@ import math
 import sys
 from pathlib import Path
 
-from .checks import run_all_checks
+from .checks import GRAD_TOL, run_all_checks
 from .config import ConfigError, parse_config, with_seed
 from .experiments import (
     ExperimentPlan,
@@ -77,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     check_p.add_argument(
         "--check-tolerance",
         type=_positive,
-        default=1e-4,
+        default=GRAD_TOL,
         help="relative tolerance for the gradient suite",
     )
 

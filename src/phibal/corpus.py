@@ -62,6 +62,8 @@ class CorpusSpec:
                 raise ValueError(
                     f"centers shape {arr.shape} != ({self.n_domains}, {self.dim})"
                 )
+            if not np.isfinite(arr).all():
+                raise ValueError(f"corpus 'centers' must be finite, got {arr.tolist()}")
 
     @cached_property
     def _center_array(self) -> np.ndarray:

@@ -11,11 +11,12 @@ and adds the residual input as one more, each with a hand-written backward
 pass. As in grouped-GEMM MoE kernels, the experts dispatch tokens by a
 single sort and loop per expert only for the matrix products; the
 elementwise gate, the weighting and the scatter run once per cache-sized
-group of experts, each group with its own activations, and the groups are
-split across threads. The tests hold the node bit for bit to a plain-numpy
-per-expert reference, and to itself run on one thread. A forward-only pass
-(the trainer's eval) runs the same dispatch and GEMMs in per-thread scratch
-arrays that it reuses, and returns the layer's output as a leaf.
+group of experts, and the groups are split across threads. A group runs one
+op sequence, in new arrays in training, which the backward reads, or in
+views of reused per-thread scratch arrays in a forward-only pass (the
+trainer's eval), which returns the layer's output as a leaf. The tests
+hold the node bit for bit to a plain-numpy per-expert reference, and to
+itself run on one thread.
 """
 
 from __future__ import annotations
@@ -271,8 +272,7 @@ class MoeLayer:
         cores by `autodiff._split` (one worker thread per usable core but
         the caller's, at most three); the first slice runs on the caller,
         and too few groups for two slices run there as a plain loop. Each
-        group allocates its own activations on whichever thread runs it,
-        and writes only its own rows of the scatter buffers, its own
+        group writes only its own rows of the scatter buffers, its own
         (token, expert) entries of the weights' adjoint and its own
         experts' gradient arenas; every group does the same arithmetic
         whichever thread runs it, the node is built on the caller and the
@@ -280,11 +280,11 @@ class MoeLayer:
         scheduling.
 
         ``forward_only`` returns the same value as a leaf that no backward
-        reaches. The groups then work in their thread's scratch arrays and
-        keep nothing, and the scatter buffer is the caller's scratch, so a
-        repeated forward of one shape allocates no activations (an eval
-        that freed them would have the allocator hand their pages back to
-        the OS, and fault them in again on the next eval).
+        reaches. The groups run the same ops in their thread's scratch
+        arrays and keep nothing, and the scatter buffer is the caller's
+        scratch, so a repeated forward of one shape allocates no activations
+        (an eval that freed them would have the allocator hand their pages
+        back to the OS, and fault them in again on the next eval).
         """
         ffn, k = self.ffn_dim, self.top_k
         xv, wv = x.value, routing.weights.value
@@ -300,15 +300,14 @@ class MoeLayer:
         active = [e for e, c in enumerate(counts) if c]
         groups = _pack(active, starts, ends, 2 * ffn)
 
+        keep = not forward_only
+        buf = np.empty((n_tokens * k, dim)) if keep else _scratch_array("buf", (n_tokens * k, dim))
         dispatch = (xv, tokens, order, pair_w, starts, ends)
-        if forward_only:
-            buf = _scratch_array("buf", (n_tokens * k, dim))
-            _split(self._group_forward, groups, *dispatch, buf, False)
-            return Node(xv + _sum_slots(buf, n_tokens))
-        buf = np.empty((n_tokens * k, dim))
-        # Per group, what its backward reads.
-        saved = _split(self._group_forward, groups, *dispatch, buf, True)
+        # Per group, what its backward reads (None in a forward-only pass).
+        saved = _split(self._group_forward, groups, *dispatch, buf, keep)
         out = xv + _sum_slots(buf, n_tokens)
+        if forward_only:
+            return Node(out)
 
         parents = (x, routing.weights, *[self.w1[e] for e in active], *[self.w2[e] for e in active])
         need_dx = x.requires_grad
@@ -331,24 +330,23 @@ class MoeLayer:
     def _group_forward(
         self, group, xv, tokens, order, pair_w, starts, ends, buf, keep
     ) -> tuple | None:
-        """One group's experts: writes the group's rows of ``buf``. With
-        ``keep``, in activations of its own, which it returns: what its
-        backward reads. Without, in the calling thread's scratch arrays, in
-        place but in the same op order, so with the same bits; it keeps
-        nothing."""
-        ffn = self.ffn_dim
+        """One group's experts: writes the group's rows of ``buf`` by one op
+        sequence; ``keep`` picks only where its arrays live. With it, each is
+        new (h and y, filled an expert at a time, up front; each other one
+        allocated by its op, given out=None) and the group returns what its
+        backward reads. Without, each is a view of the calling thread's
+        scratch array of its name (s, silu and act share "act": each op reads
+        it only where it writes) and the group keeps nothing."""
+        fresh = (lambda _, shape: np.empty(shape), lambda *_: None)
+        new, out = fresh if keep else (_scratch_array, _scratch_array)
         lo, hi = starts[group[0]], ends[group[-1]]
-        rows, dim = tokens[lo:hi], xv.shape[1]
-        if keep:
-            # In this order: gathering u first made small forwards about 2 %
-            # slower (where the allocator places the arrays; ROADMAP).
-            h, y = np.empty((hi - lo, 2 * ffn)), np.empty((hi - lo, dim))
-            u = xv[rows]
-        else:
-            u, y = _scratch_array("u", (hi - lo, dim)), _scratch_array("y", (hi - lo, dim))
-            h, act = _scratch_array("h", (hi - lo, 2 * ffn)), _scratch_array("act", (hi - lo, ffn))
-            # The rows are in range: "clip" skips "raise"'s buffered copy of u.
-            np.take(xv, rows, axis=0, out=u, mode="clip")
+        ffn, n, dim = self.ffn_dim, hi - lo, xv.shape[1]
+        # In this order: gathering u first made small forwards about 2 %
+        # slower (where the allocator places the arrays; ROADMAP).
+        h, y = new("h", (n, 2 * ffn)), new("y", (n, dim))
+        # The method skips np.take's Python wrapper; the rows are in range,
+        # so "clip" skips "raise"'s buffered copy of u.
+        u = xv.take(tokens[lo:hi], axis=0, out=out("u", (n, dim)), mode="clip")
         spans = []
         for e in group:
             sl = slice(starts[e] - lo, ends[e] - lo)
@@ -359,25 +357,17 @@ class MoeLayer:
             _mm(u[sl], w1t, h[sl])
             spans.append((sl, e, w1t, w2t))
         a, b = h[:, :ffn], h[:, ffn:]
-        if keep:
-            s = 0.5 * (1.0 + np.tanh(0.5 * a))
-            silu = a * s
-            act = silu * b
-        else:
-            np.multiply(0.5, a, out=act)
-            np.tanh(act, out=act)
-            np.add(1.0, act, out=act)
-            np.multiply(0.5, act, out=act)  # s
-            np.multiply(a, act, out=act)  # silu
-            np.multiply(act, b, out=act)
+        s = np.multiply(0.5, a, out=out("act", (n, ffn)))  # s = 0.5 (1 + tanh(0.5 a))
+        np.tanh(s, out=s)
+        np.add(1.0, s, out=s)
+        np.multiply(0.5, s, out=s)
+        silu = np.multiply(a, s, out=out("act", (n, ffn)))
+        act = np.multiply(silu, b, out=out("act", (n, ffn)))
         for sl, _, _, w2t in spans:
             _mm(act[sl], w2t, y[sl])
-        if keep:
-            buf[order[lo:hi]] = pair_w[lo:hi] * y
-            return lo, hi, spans, a, b, s, silu, act, y
-        np.multiply(pair_w[lo:hi], y, out=y)
-        buf[order[lo:hi]] = y
-        return None
+        # u is dead once the first GEMMs have run; y is what the backward reads.
+        buf[order[lo:hi]] = np.multiply(pair_w[lo:hi], y, out=u)
+        return (lo, hi, spans, a, b, s, silu, act, y) if keep else None
 
     def _group_backward(
         self, saved, g, xv, tokens, experts, order, pair_w, dw, dbuf

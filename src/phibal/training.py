@@ -506,8 +506,9 @@ class Trainer:
         """Rebuild a trainer for ``config`` and load a snapshot's state into it.
 
         Raises ValueError unless the snapshot holds the arrays of the
-        trainer's own `snapshot`, each of its shape; it names the first
-        parameter whose shape differs.
+        trainer's own `snapshot`, each of its shape, a step in [0, steps]
+        and eval rows of `EvalRow`'s length; it names the first parameter
+        whose shape differs, or the key at fault.
         """
         if snap.get("version") != SNAPSHOT_VERSION:
             raise ValueError(f"unsupported snapshot version {snap.get('version')!r}")
@@ -528,9 +529,16 @@ class Trainer:
                     f"snapshot parameter {i} has shape {snap[key][i].tolist()}, "
                     f"the config builds {want[i].tolist()}"
                 )
+        step, rows = int(snap["step"]), json.loads(str(snap["rows"]))
+        if not 0 <= step <= config.steps:
+            raise ValueError(f"snapshot step {step} is outside the config's [0, {config.steps}]")
+        width = len(EvalRow._fields)
+        for i, row in enumerate(rows):
+            if not isinstance(row, list) or len(row) != width:
+                raise ValueError(f"snapshot rows: row {i} is {row!r}, not {width} cells")
 
         opt = trainer.optimizer
-        opt.t = trainer.step_index = int(snap["step"])
+        opt.t = trainer.step_index = step
         opt.flat[...] = snap["params"]
         if "moment1" in snap:
             opt.m[...], opt.v[...] = snap["moment1"], snap["moment2"]
@@ -539,7 +547,7 @@ class Trainer:
             if "bias" in snap:
                 balancer.bias[...] = snap["bias"][i]
         trainer._window[...] = snap["window"]
-        trainer.record = RunRecord(rows=[EvalRow(*row) for row in json.loads(str(snap["rows"]))])
+        trainer.record = RunRecord(rows=[EvalRow(*row) for row in rows])
         return trainer
 
     def save_snapshot(self, path) -> None:

@@ -63,8 +63,14 @@ def test_mixture_must_be_simplex():
 
 @pytest.mark.parametrize(
     "knobs",
-    [{"cluster_scale": np.nan}, {"mixture": (np.nan, 1.0)}],
-    ids=["cluster_scale=nan", "mixture_nan"],
+    [
+        {"cluster_scale": np.nan},
+        {"mixture": (np.nan, 1.0)},
+        # Non-finite centers were accepted, and sample_batch drew NaN and inf tokens.
+        {"centers": ((np.nan, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0))},
+        {"centers": ((0.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, -np.inf))},
+    ],
+    ids=["cluster_scale=nan", "mixture_nan", "centers_nan", "centers_inf"],
 )
 def test_spec_rejects_nan_knobs(knobs):
     with pytest.raises(ValueError):

@@ -795,13 +795,16 @@ def test_cli_nan_weight_decay_is_a_config_error(tmp_path, capsys):
         ("optimizer", "cosine", 1),
         ("optimizer", "cosine", "yes"),
         pytest.param("optimizer", "lr", 10**400, id="optimizer-lr-10**400"),
+        ("corpus", "centers", [[0.0] * 6, [1.0] + [0.0] * 5, [0.0] * 5 + [float("nan")]]),
+        ("corpus", "centers", [[0.0] * 6, [float("-inf")] + [0.0] * 5, [0.0] * 6]),
     ],
 )
 def test_cli_out_of_range_or_mistyped_value_is_a_config_error(
     tmp_path, capsys, section, key, value
 ):
-    # Before, these ended in tracebacks, failed mid-run with exit 2, or (`cosine`)
-    # trained the run of `cosine: true` under a digest of their own.
+    # Before, these ended in tracebacks, failed mid-run with exit 2 (non-finite
+    # `centers` at step 1), or (`cosine`) trained the run of `cosine: true`
+    # under a digest of their own.
     raw = yaml.safe_load(TINY)
     raw.setdefault(section, {})[key] = value
     path = tmp_path / "run.yaml"

@@ -509,12 +509,18 @@ def test_forward_only_expert_pass_keeps_the_bits_in_grown_scratch(
     monkeypatch, layout, n_experts, top_k, dim, ffn_dim, n_tokens, bias
 ):
     # Fresh scratch, first sized by a three-token pass: the layout's pass
-    # then grows it, past `_CHUNK` where one expert is a group of its own.
+    # then grows it, past `_CHUNK` where one expert is a group of its own,
+    # and a last three-token pass reads views of the grown arrays, which
+    # still hold the large pass's values.
     monkeypatch.setattr(autodiff, "_scratch", threading.local())
     layer = make_layer(n_experts=n_experts, top_k=top_k, dim=dim, ffn_dim=ffn_dim, seed=25)
     x_arr = np.random.default_rng(26).standard_normal((n_tokens, dim))
     few = constant(x_arr[:3])
-    layer.forward(few, layer.route(few, bias), forward_only=True)
+    few_routing = layer.route(few, bias)
+    few_want = per_expert_reference(
+        layer, x_arr[:3], few_routing.weights.value, few_routing.selections, np.zeros((3, dim))
+    )[0]
+    np.testing.assert_array_equal(layer.forward(few, few_routing, forward_only=True).value, few_want)
     small = autodiff._scratch.h.size
     routing = layer.route(constant(x_arr), bias)
     want = per_expert_reference(
@@ -528,6 +534,9 @@ def test_forward_only_expert_pass_keeps_the_bits_in_grown_scratch(
     assert autodiff._scratch.h.size > small
     if layout == "expert-over-budget":
         assert autodiff._scratch.h.size > _CHUNK
+    grown = autodiff._scratch.h
+    np.testing.assert_array_equal(layer.forward(few, few_routing, forward_only=True).value, few_want)
+    assert autodiff._scratch.h is grown
 
 
 def _wide_expert_pass(layer, x_arr, g):

@@ -663,6 +663,33 @@ def test_restore_rejects_another_load_window():
         Trainer.restore(replace(cfg, load_window=10), snap)
 
 
+@pytest.mark.parametrize("step", [10**6, 21, -5])
+def test_restore_rejects_a_step_outside_the_run(step):
+    # Accepted, a negative step handed the optimizer a negative t.
+    cfg = with_seed(short_config(steps=20, eval_every=10), 1)
+    snap = dict(Trainer(cfg).snapshot(), step=np.int64(step))
+    with pytest.raises(ValueError, match=rf"snapshot step {step} is outside .*\[0, 20\]"):
+        Trainer.restore(cfg, snap)
+    for edge in (0, 20):
+        assert Trainer.restore(cfg, dict(snap, step=np.int64(edge))).step_index == edge
+
+
+@pytest.mark.parametrize("cells", [6, 8, 0])
+def test_restore_rejects_an_eval_row_of_another_length(cells):
+    # Accepted a longer row; a shorter one raised a bare TypeError from EvalRow.
+    cfg = with_seed(short_config(steps=20, eval_every=10), 1)
+    trainer = Trainer(cfg)
+    trainer.run()
+    snap = trainer.snapshot()
+    rows = json.loads(str(snap["rows"]))
+    assert len(rows) == 4 and all(len(row) == 7 for row in rows)
+    rows[2] = (rows[2] + ["extra"])[:cells]
+    with pytest.raises(ValueError, match=r"snapshot rows: row 2 is .*, not 7 cells"):
+        Trainer.restore(cfg, dict(snap, rows=json.dumps(rows)))
+    with pytest.raises(ValueError, match=r"snapshot rows: row 0 is 3, not 7 cells"):
+        Trainer.restore(cfg, dict(snap, rows=json.dumps([3])))
+
+
 def test_square_expert_weights_resume_bit_exact(tmp_path, numeric_build):
     # With ffn_dim == dim, w2 is square: a snapshot that mixed up logical and
     # storage layout would still restore, silently transposed.
