@@ -10,6 +10,12 @@ Four suites cover the library's mathematical contracts:
   Newton ascent with a finite-difference Hessian, coincides with the
   closed-form EMA-then-price update.
 * gradients: every loss in the repo matches central finite differences.
+  Each instance is one sweep: every parameter element is perturbed once up
+  and once down, and each perturbed forward feeds every loss it is compared
+  on (the task loss and the full objective; at a router also the st_moe and
+  the nine price losses). An instance costs 662 model forwards: 648 for the
+  sweep over its 324 elements, 12 analytic, one for the EMA and at least
+  one for the margin guard.
 
 The finite-difference helpers here are deliberately independent of the
 reverse-mode engine they validate.
@@ -19,11 +25,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .autodiff import Node
+from .autodiff import Node, weighted_sum
 from .balancer import BalanceConfig, BalancerState, stmoe_aux_loss, total_loss
 from .potentials import (
     PotentialSpec,
@@ -37,6 +43,7 @@ from .training import ModelConfig, MoeStack, cross_entropy
 
 __all__ = [
     "CheckResult",
+    "finite_diff_sweep",
     "finite_diff_gradient",
     "gradient_max_rel_error",
     "check_uniform_minimizer",
@@ -70,37 +77,70 @@ def _interior_simplex(rng: np.random.Generator, n: int, floor: float = 1e-3) -> 
 # -- finite differences ------------------------------------------------------------
 
 
-def finite_diff_gradient(
-    loss_fn: Callable[[], Node], params: list[Node], h: float = 1e-5
-) -> list[np.ndarray]:
-    """Central-difference gradient of loss_fn w.r.t. each parameter node.
+def finite_diff_sweep(
+    loss_fn: Callable[[Node], Sequence[Node]], params: list[Node], h: float = 1e-5
+) -> list[list[np.ndarray]]:
+    """Central-difference gradients of several losses from one sweep.
 
-    Perturbs parameter values in place and restores them; loss_fn must
-    rebuild its graph from the current values on every call.
+    Perturbs each element of each parameter in place, once up and once
+    down, and restores it. ``loss_fn(p)`` runs while ``p`` is perturbed,
+    must rebuild its graph from the current values, and returns the losses
+    to read for ``p``, as many for every element of ``p``. Entry ``[i][j]``
+    is the gradient w.r.t. ``params[i]`` of the j-th loss of
+    ``loss_fn(params[i])``.
     """
     grads = []
     for p in params:
-        g = np.zeros_like(p.value)  # in p's layout, so both ravel to views
         flat_value = p.value.ravel(order="K")
-        flat_grad = g.ravel(order="K")
+        if flat_value.size and not np.shares_memory(flat_value, p.value):
+            raise ValueError(
+                f"parameter of shape {p.value.shape} and strides {p.value.strides} "
+                "ravels to a copy: perturbing the copy would not move the parameter"
+            )
+        per_loss = flat_grads = None
         for i in range(flat_value.size):
             orig = flat_value[i]
             flat_value[i] = orig + h
-            up = float(loss_fn().value)
+            up = [float(loss.value) for loss in loss_fn(p)]
             flat_value[i] = orig - h
-            down = float(loss_fn().value)
+            down = [float(loss.value) for loss in loss_fn(p)]
             flat_value[i] = orig
-            flat_grad[i] = (up - down) / (2.0 * h)
-        grads.append(g)
+            if per_loss is None:  # in p's layout, so both ravel to views
+                per_loss = [np.zeros_like(p.value) for _ in up]
+                flat_grads = [g.ravel(order="K") for g in per_loss]
+            for flat_grad, u, d in zip(flat_grads, up, down, strict=True):
+                flat_grad[i] = (u - d) / (2.0 * h)
+        if per_loss is None:  # nothing to perturb; one read for the count
+            per_loss = [np.zeros_like(p.value) for _ in loss_fn(p)]
+        grads.append(per_loss)
     return grads
+
+
+def finite_diff_gradient(
+    loss_fn: Callable[[], Node], params: list[Node], h: float = 1e-5
+) -> list[np.ndarray]:
+    """Central-difference gradient of loss_fn w.r.t. each parameter node:
+    `finite_diff_sweep` of the one loss."""
+    return [g for (g,) in finite_diff_sweep(lambda p: (loss_fn(),), params, h)]
 
 
 def gradient_max_rel_error(analytic: list[np.ndarray], numeric: list[np.ndarray]) -> float:
     """max over entries of |a - n| / max(1, |a|, |n|), or inf if any entry is
-    not finite: a NaN or an inf on either side makes its ratio NaN."""
+    not finite: a NaN or an inf on either side makes its ratio NaN. Raises
+    ValueError, naming the index, when the lists differ in length or a pair
+    in shape."""
+    if len(analytic) != len(numeric):
+        raise ValueError(
+            f"{len(analytic)} analytic and {len(numeric)} numeric gradients: "
+            f"index {min(len(analytic), len(numeric))} has no partner"
+        )
     worst = 0.0
     with np.errstate(invalid="ignore"):
-        for a, n in zip(analytic, numeric):
+        for i, (a, n) in enumerate(zip(analytic, numeric)):
+            if np.shape(a) != np.shape(n):
+                raise ValueError(
+                    f"gradient {i}: analytic shape {np.shape(a)} != numeric shape {np.shape(n)}"
+                )
             denom = np.maximum(1.0, np.maximum(np.abs(a), np.abs(n)))
             err = float(np.max(np.abs(a - n) / denom))
             if np.isnan(err):
@@ -269,7 +309,22 @@ def build_gradcheck_instance(
     raise RuntimeError("could not build a tie-free routing instance")
 
 
+def _layer_sum(aux: list[Node]) -> Node:
+    """Per-layer losses summed by `total_loss` at weight 1.0 * 1, which adds
+    them exactly, as x * 1.0 == x."""
+    return total_loss(aux[0], aux[1:], 1.0, 1)
+
+
+def _price_losses(routings, prices: list[np.ndarray]) -> list[Node]:
+    """Each layer's <p_bar, w> at its frozen prices w, as `phi_aux_loss` forms it."""
+    return [weighted_sum(r.p_bar, w) for r, w in zip(routings, prices)]
+
+
 def check_gradients(tol: float = GRAD_TOL, instances: int = 5, seed: int = 0) -> CheckResult:
+    """Twelve comparisons per instance, each of an analytic gradient with
+    the central differences of one sweep: the task loss and the full
+    objective over all parameters, and the st_moe loss and each potential's
+    price loss over the routers."""
     started = time.perf_counter()
     failures = []
     worst = 0.0
@@ -284,77 +339,61 @@ def check_gradients(tol: float = GRAD_TOL, instances: int = 5, seed: int = 0) ->
         def forward():
             return stack.forward(x, [None] * n_layers)
 
-        # Task loss over all parameters.
-        def task_loss() -> Node:
-            logits, _ = forward()
-            return cross_entropy(logits, labels)
-
-        worst = max(worst, _compare(task_loss, params, failures, "task", tol))
-
-        # Frequency/probability dot-product loss; frequencies are constants.
-        # Per-layer losses are summed by `total_loss` at weight 1.0 * 1,
-        # which adds them exactly, as x * 1.0 == x.
-        def freq_loss() -> Node:
-            _, routings = forward()
-            aux = [stmoe_aux_loss(r.f, r.p_bar) for r in routings]
-            return total_loss(aux[0], aux[1:], 1.0, 1)
-
-        worst = max(worst, _compare(freq_loss, routers, failures, "st_moe", tol))
-
-        # Each potential's price-weighted loss, prices frozen at a random EMA.
+        # Each potential's prices, frozen at a random EMA per layer.
+        phi_prices = {}
         for spec in default_catalog():
-            balancers = []
+            phi_prices[spec.token()] = prices = []
             for _ in range(n_layers):
                 bal = BalancerState(BalanceConfig(phi=spec.token()), n_experts)
                 bal.m = _interior_simplex(rng, n_experts)
-                balancers.append(bal)
+                prices.append(bal.price_vector())
 
-            def phi_loss(balancers=balancers) -> Node:
-                _, routings = forward()
-                aux = [b.phi_aux_loss(r.p_bar) for b, r in zip(balancers, routings)]
-                return total_loss(aux[0], aux[1:], 1.0, 1)
-
-            worst = max(
-                worst, _compare(phi_loss, routers, failures, spec.token(), tol)
-            )
-
-        # Full training objective: task + alpha * E * sum of price losses,
-        # with the EMA advanced once and then held fixed (the production
-        # gradient treats prices as constants).
-        balancers = [
-            BalancerState(BalanceConfig(phi="neg_shannon"), n_experts) for _ in range(n_layers)
-        ]
-        _, routings = forward()
-        for bal, routing in zip(balancers, routings):
+        # The full objective's prices: the EMA advanced once and then held
+        # fixed (the production gradient treats prices as constants).
+        total_prices = []
+        for routing in forward()[1]:
+            bal = BalancerState(BalanceConfig(phi="neg_shannon"), n_experts)
             bal.ema_update(routing.p_bar.value)
+            total_prices.append(bal.price_vector())
 
-        def full_loss() -> Node:
+        def losses(router: bool) -> list[Node]:
+            """The task loss and task + alpha * E * sum of price losses, and
+            for a router the frequency/probability loss (frequencies are
+            constants) and each potential's price loss, from one forward."""
             logits, routings = forward()
             task = cross_entropy(logits, labels)
-            aux = [b.phi_aux_loss(r.p_bar) for b, r in zip(balancers, routings)]
-            return total_loss(task, aux, 0.01, n_experts)
+            out = [task, total_loss(task, _price_losses(routings, total_prices), 0.01, n_experts)]
+            if router:
+                out.append(_layer_sum([stmoe_aux_loss(r.f, r.p_bar) for r in routings]))
+                out += [_layer_sum(_price_losses(routings, w)) for w in phi_prices.values()]
+            return out
 
-        worst = max(worst, _compare(full_loss, params, failures, "total", tol))
+        numeric = finite_diff_sweep(lambda p: losses(p in routers), params)
+        names = ["task", "total", "st_moe", *phi_prices]  # the order of `losses`
+        for label in ["task", "st_moe", *phi_prices, "total"]:
+            j = names.index(label)
+            compared = routers if j >= 2 else params
+            grads = [numeric[params.index(p)][j] for p in compared]
+            worst = max(worst, _compare(losses(j >= 2)[j], compared, grads, failures, label, tol))
 
     detail = f"worst rel err {worst:.2e}" if not failures else "; ".join(failures[:3])
     return CheckResult("gradients", not failures, detail, time.perf_counter() - started)
 
 
 def _compare(
-    loss_fn: Callable[[], Node],
+    root: Node,
     params: list[Node],
+    numeric: list[np.ndarray],
     failures: list[str],
     label: str,
     tol: float,
 ) -> float:
-    root = loss_fn()
     for p in params:
         p.grad = None
     root.backward()
     analytic = [
         p.grad if p.grad is not None else np.zeros(p.shape) for p in params
     ]
-    numeric = finite_diff_gradient(loss_fn, params)
     err = gradient_max_rel_error(analytic, numeric)
     if not err <= tol:
         failures.append(f"{label}: rel err {err:.2e}")

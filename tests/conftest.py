@@ -11,6 +11,7 @@ import os
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -47,11 +48,34 @@ def record_group_threads(monkeypatch) -> dict:
     return threads
 
 
+def _blas_core() -> str:
+    """The kernel core the bundled OpenBLAS picked at run time (found as
+    `bench/run.py` finds its thread count), or "unknown"; never raises."""
+    try:
+        import ctypes
+
+        import numpy as np
+
+        libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+        for lib in sorted(libs.glob("*openblas*.so*")):
+            handle = ctypes.CDLL(str(lib))
+            for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
+                fn = getattr(handle, symbol, None)
+                if fn is not None:
+                    fn.argtypes = []
+                    fn.restype = ctypes.c_char_p
+                    return fn().decode()
+    except Exception:
+        pass
+    return "unknown"
+
+
 def build_line() -> str:
     """The numeric build that literal bit pins depend on, as one line: the
-    numpy version, its BLAS's name and version, and whether numpy dispatches
-    AVX-512 code on this CPU. Never raises; what this numpy cannot report
-    reads "unknown" (before 1.26 it has no dict form of its build config)."""
+    numpy version, its BLAS's name, version and run-time core, and whether
+    numpy dispatches AVX-512 code on this CPU. Never raises; what this numpy
+    cannot report reads "unknown" (before 1.26 it has no dict form of its
+    build config)."""
     import numpy as np
 
     try:
@@ -73,7 +97,7 @@ def build_line() -> str:
         except Exception:
             found = None
     avx512 = "unknown" if found is None else any("AVX512" in f or f == "X86_V4" for f in found)
-    return f"numpy {np.__version__}, BLAS {blas}, AVX-512 dispatch {avx512}"
+    return f"numpy {np.__version__}, BLAS {blas} (core {_blas_core()}), AVX-512 dispatch {avx512}"
 
 
 @pytest.fixture(scope="session")
